@@ -297,21 +297,7 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
         is_spherical(g, clique) for clique in _maximal_cliques(S, fin_nbrs)
     )
 
-    factor_sets: list[VertexSet] = []
-    remaining = set(S)
-    for start in S:
-        if start not in remaining:
-            continue
-        comp = {start}
-        frontier = [start]
-        remaining.discard(start)
-        while frontier:
-            v = frontier.pop()
-            for w in sorted(remaining & fin_nbrs[v]):
-                comp.add(w)
-                remaining.discard(w)
-                frontier.append(w)
-        factor_sets.append(tuple(sorted(comp)))
+    factor_sets = components(g, S, lambda v, w: w in fin_nbrs[v])
     factor_decomps = [spherical_decomposition(g, f) for f in factor_sets]
     free_product = all(d is not None for d in factor_decomps)
     free_factors = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 INFINITY: float = float("inf")
 
@@ -34,10 +34,12 @@ def _valid_name(name: object) -> bool:
     return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
+def _is_int(m: object) -> bool:
+    return isinstance(m, int) and not isinstance(m, bool)
+
+
 def _valid_label(m: object) -> bool:
-    if m == INFINITY:
-        return True
-    return isinstance(m, int) and not isinstance(m, bool) and m >= 2
+    return m == INFINITY or (_is_int(m) and m >= 2)
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,9 @@ def parse_graph(text: bytes | str) -> CoxeterGraph:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise GraphError(f"{where}: expected [generator, generator, label]")
         s, t, m = entry
-        if m == "inf" or m == 0:
+        if m == "inf" or (_is_int(m) and m == 0):
             m = INFINITY
-        elif not _valid_label(m):
+        elif not (_is_int(m) and m >= 2):
             raise GraphError(f"{where}: invalid label {m!r} (need integer >= 2, 0 or \"inf\")")
         relations.append((s, t, m))
     return CoxeterGraph.build(gens, relations, infinite_by_default)
@@ -179,8 +181,12 @@ def induced(g: CoxeterGraph, X: Iterable[str]) -> CoxeterGraph:
     return CoxeterGraph(Xs, labels)
 
 
-def components(g: CoxeterGraph, X: Iterable[str]) -> list[VertexSet]:
-    """Connected components of the induced graph on X, sorted by minimal vertex."""
+def components(
+    g: CoxeterGraph, X: Iterable[str], linked: Callable[[str, str], bool] | None = None
+) -> list[VertexSet]:
+    """Connected components of the induced graph on X, sorted by minimal
+    vertex.  Vertices are joined by edges, or by ``linked`` when given."""
+    linked = linked or g.has_edge
     Xs = g.subset(X)
     remaining = set(Xs)
     out: list[VertexSet] = []
@@ -193,7 +199,7 @@ def components(g: CoxeterGraph, X: Iterable[str]) -> list[VertexSet]:
         while frontier:
             v = frontier.pop()
             for w in sorted(remaining):
-                if g.has_edge(v, w):
+                if linked(v, w):
                     comp.add(w)
                     remaining.discard(w)
                     frontier.append(w)

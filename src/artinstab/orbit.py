@@ -2,17 +2,20 @@
 
 Two standard parabolic subgroups are conjugate exactly when one lies in the
 twist closure of the other; the search records, for every reachable subset,
-a word of Garside factors witnessing the conjugation.
+a word of Garside factors witnessing the conjugation.  The same search
+engine, ``bfs_closure``, also runs the component-tuple closures of the
+stability decision.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .graph import CoxeterGraph, VertexSet, adjacent
-from .twist import ConjugatorWord, elementary_twist
+from .twist import ConjugatorWord, TwistFactor, elementary_twist
 
 
 @dataclass(frozen=True)
@@ -21,21 +24,23 @@ class OrbitTable:
 
     The first entry is always the start subset with the empty word, and
     applying any entry's word to the start subset yields the entry's key.
+    Lookups go through the same map kept as a dict.
     """
 
     entries: tuple[tuple[VertexSet, ConjugatorWord], ...]
+    _index: dict[VertexSet, ConjugatorWord] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", dict(self.entries))
 
     def subsets(self) -> tuple[VertexSet, ...]:
         return tuple(key for key, _ in self.entries)
 
     def word_for(self, Y: VertexSet) -> ConjugatorWord | None:
-        for key, word in self.entries:
-            if key == Y:
-                return word
-        return None
+        return self._index.get(Y)
 
     def __contains__(self, Y: VertexSet) -> bool:
-        return any(key == Y for key, _ in self.entries)
+        return Y in self._index
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -50,18 +55,23 @@ class OrbitTable:
         ]
 
 
-def _search(
-    g: CoxeterGraph, X: VertexSet, target: VertexSet | None
-) -> tuple[dict[VertexSet, ConjugatorWord], ConjugatorWord | None]:
-    table: dict[VertexSet, ConjugatorWord] = {X: ConjugatorWord()}
-    queue: deque[VertexSet] = deque([X])
+State = TypeVar("State", bound=Hashable)
+
+
+def bfs_closure(
+    start: State,
+    successors: Callable[[State], Iterable[tuple[State, TwistFactor]]],
+    target: State | None = None,
+) -> tuple[dict[State, ConjugatorWord], ConjugatorWord | None]:
+    """Breadth-first closure of start under successors, which yields
+    (next state, factor) pairs.  The table maps each state, in discovery
+    order, to the word of the first path found to it; the search stops as
+    soon as target is discovered and then also returns its word."""
+    table: dict[State, ConjugatorWord] = {start: ConjugatorWord()}
+    queue: deque[State] = deque([start])
     while queue:
         Y = queue.popleft()
-        for t in adjacent(g, Y):
-            step = elementary_twist(g, Y, t)
-            if step is None:
-                continue
-            Z, factor = step
+        for Z, factor in successors(Y):
             if Z in table:
                 continue
             word = table[Y].extended(factor)
@@ -72,10 +82,16 @@ def _search(
     return table, None
 
 
+def _twists(g: CoxeterGraph, Y: VertexSet) -> Iterator[tuple[VertexSet, TwistFactor]]:
+    for t in adjacent(g, Y):
+        step = elementary_twist(g, Y, t)
+        if step is not None:
+            yield step
+
+
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    start = g.subset(X)
-    table, _ = _search(g, start, None)
+    table, _ = bfs_closure(g.subset(X), partial(_twists, g))
     return OrbitTable(tuple(table.items()))
 
 
@@ -90,5 +106,5 @@ def conjugator(
         return None
     if Xs == Xps:
         return ConjugatorWord()
-    _, word = _search(g, Xs, Xps)
+    _, word = bfs_closure(Xs, partial(_twists, g), Xps)
     return word

@@ -19,13 +19,13 @@ ribbon and parabolic-closure hypotheses of the containing group's family).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
 from .classify import (
     GroupFamilyReport,
+    IrreducibleType,
     TypedComponent,
     classify_group,
     is_spherical,
@@ -33,7 +33,15 @@ from .classify import (
     recognize_component,
 )
 from .graph import CoxeterGraph, VertexSet, adjacent, components
-from .twist import ConjugatorWord, TwistFactor, delta_conjugate_set
+from .orbit import bfs_closure
+from .twist import (
+    ConjugatorWord,
+    DeltaActionUndefined,
+    TwistFactor,
+    delta_automorphism,
+    delta_conjugate_set,
+    twist_component,
+)
 
 ComponentTuple = tuple[VertexSet, ...]
 
@@ -115,15 +123,58 @@ def tuple_twist(
 ) -> tuple[ComponentTuple, TwistFactor] | None:
     """Twist the union of the tuple at t, tracking each position's image."""
     union = g.subset([v for part in T for v in part])
-    if t not in adjacent(g, union):
-        raise ValueError(f"{t!r} is not adjacent to {list(union)}")
-    extended = g.subset(union + (t,))
-    comp = next(c for c in components(g, extended) if t in c)
-    tc = recognize_component(g, comp)
+    comp, tc = twist_component(g, union, t)
     if tc is None or not is_twistable(tc):
         return None
     moved = tuple(delta_conjugate_set(g, comp, part) for part in T)
     return moved, TwistFactor(comp, 1)
+
+
+# For a canonical union Y of a tuple: (t, the involution of the component of
+# Y + t containing t, its factor, the images of parts moved so far) for each
+# adjacent t whose component is twistable, in the order of ``adjacent``.
+Step = tuple[str, dict[str, str], TwistFactor, dict[VertexSet, VertexSet]]
+StepTable = dict[VertexSet, tuple[Step, ...]]
+
+
+def _twist_steps(g: CoxeterGraph, union: VertexSet) -> tuple[Step, ...]:
+    out = []
+    for t in adjacent(g, union):
+        comp, tc = twist_component(g, union, t)
+        if tc is None or not is_twistable(tc):
+            continue
+        for x in union:
+            if x not in comp and any(g.has_edge(x, v) for v in comp):
+                raise DeltaActionUndefined(x, comp)
+        out.append((t, delta_automorphism(tc), TwistFactor(comp, 1), {}))
+    return tuple(out)
+
+
+def _tuple_closure(
+    g: CoxeterGraph,
+    X1: Iterable[str],
+    steps: StepTable,
+    allowed: Callable[[str], bool] | None = None,
+) -> dict[ComponentTuple, ConjugatorWord]:
+    """The closure of ``tuple_orbit``, filling and reading the step table."""
+
+    def successors(T: ComponentTuple):
+        union = tuple(sorted(v for part in T for v in part))
+        found = steps.get(union)
+        if found is None:
+            steps[union] = found = _twist_steps(g, union)
+        for t, tau, factor, moves in found:
+            if allowed is None or allowed(t):
+                moved = []
+                for part in T:
+                    image = moves.get(part)
+                    if image is None:
+                        moves[part] = image = tuple(sorted([tau.get(v, v) for v in part]))
+                    moved.append(image)
+                yield tuple(moved), factor
+
+    table, _ = bfs_closure(initial_tuple(g, X1), successors)
+    return table
 
 
 def tuple_orbit(
@@ -133,75 +184,42 @@ def tuple_orbit(
 ) -> dict[ComponentTuple, ConjugatorWord]:
     """BFS closure of the component tuple of X1 under tuple twists at
     vertices satisfying ``allowed`` (all vertices when None)."""
-    start = initial_tuple(g, X1)
-    table: dict[ComponentTuple, ConjugatorWord] = {start: ConjugatorWord()}
-    queue = deque([start])
-    while queue:
-        T = queue.popleft()
-        union = tuple(sorted(v for part in T for v in part))
-        for t in adjacent(g, union):
-            if allowed is not None and not allowed(t):
-                continue
-            step = tuple_twist(g, T, t)
-            if step is None:
-                continue
-            moved, factor = step
-            if moved in table:
-                continue
-            table[moved] = table[T].extended(factor)
-            queue.append(moved)
-    return table
+    return _tuple_closure(g, X1, {}, allowed)
 
 
-def _merged_component_is_odd_d(
-    g: CoxeterGraph, Y: VertexSet, t: str, anchor: str
-) -> bool:
-    """Whether the component of Y + t containing the anchor vertex has type
-    D of odd rank."""
-    extended = g.subset(Y + (t,))
-    comp = next(c for c in components(g, extended) if anchor in c)
-    tc = recognize_component(g, comp)
-    return tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1
+def _odd_extension(
+    g: CoxeterGraph, X: VertexSet, Y: VertexSet, end: str, outside: bool
+) -> str | None:
+    """The first vertex t adjacent to the end vertex, outside X (or else in
+    X but not in Y), such that the component of Y + t containing the end
+    has type D of odd rank."""
+    for t in adjacent(g, (end,)):
+        if (t not in X) if outside else (t in X and t not in Y):
+            _, tc = twist_component(g, Y, t, end)
+            if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
+                return t
+    return None
 
 
-def _check_preconditions(g: CoxeterGraph, X: VertexSet, Y: VertexSet, Yp: TypedComponent) -> None:
-    if not set(Y) <= set(X):
-        raise ValueError("Y must be a subset of X")
-    if Yp.vertices not in components(g, Y):
-        raise ValueError("the typed component is not a component of Y")
+def _is_d2k(t: IrreducibleType) -> bool:
+    return t.family == "D" and t.rank >= 6 and t.rank % 2 == 0
+
+
+def _is_d4(t: IrreducibleType) -> bool:
+    return t.family == "D" and t.rank == 4
 
 
 def _find_d2k_obstruction(
     g: CoxeterGraph, X: VertexSet, Y: VertexSet, Yp: TypedComponent
-) -> str | None:
-    """Outside vertex at the tail of an even-D component (rank >= 6) whose
-    merge is odd D, provided no inside vertex at the tail merges to odd D."""
+) -> tuple[None, str] | None:
+    """(None, outside vertex) at the tail of an even-D component (rank >= 6)
+    whose merge is odd D, provided no inside vertex at the tail merges to
+    odd D.  The None stands for the leaf of a D_4 site."""
     tail = Yp.positions[-1]
-    inside = set(X)
-    candidates = [t for t in adjacent(g, (tail,)) if t not in inside]
-    found = None
-    for t in candidates:
-        if _merged_component_is_odd_d(g, Y, t, tail):
-            found = t
-            break
-    if found is None:
+    attach = _odd_extension(g, X, Y, tail, True)
+    if attach is None or _odd_extension(g, X, Y, tail, False) is not None:
         return None
-    for t in adjacent(g, (tail,)):
-        if t in inside and t not in Y and _merged_component_is_odd_d(g, Y, t, tail):
-            return None
-    return found
-
-
-def check_d2k_exception(
-    g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
-) -> bool:
-    """Obstruction test for a D_2k component, k > 2, of a subset Y of X."""
-    Xs, Ys = g.subset(X), g.subset(Y)
-    _check_preconditions(g, Xs, Ys, Yp)
-    t = Yp.type
-    if not (t.family == "D" and t.rank >= 6 and t.rank % 2 == 0):
-        raise ValueError(f"component has type {t}, expected even D of rank >= 6")
-    return _find_d2k_obstruction(g, Xs, Ys, Yp) is not None
+    return None, attach
 
 
 def _find_d4_obstruction(
@@ -212,40 +230,48 @@ def _find_d4_obstruction(
     leaves."""
     p = Yp.positions
     leaves = (p[0], p[1], p[3])
-    inside = set(X)
-
-    def inside_odd_extension(leaf: str) -> bool:
-        return any(
-            t in inside and t not in Y and _merged_component_is_odd_d(g, Y, t, leaf)
-            for t in adjacent(g, (leaf,))
-        )
-
     for i, leaf in enumerate(leaves):
-        attach = None
-        for t in adjacent(g, (leaf,)):
-            if t not in inside and _merged_component_is_odd_d(g, Y, t, leaf):
-                attach = t
-                break
-        if attach is None:
-            continue
-        if inside_odd_extension(leaf):
+        attach = _odd_extension(g, X, Y, leaf, True)
+        if attach is None or _odd_extension(g, X, Y, leaf, False) is not None:
             continue
         others = [leaves[j] for j in range(3) if j != i]
-        if all(inside_odd_extension(o) for o in others):
+        if all(_odd_extension(g, X, Y, o, False) is not None for o in others):
             continue
         return leaf, attach
     return None
+
+
+def _check_site(
+    g: CoxeterGraph,
+    X: Iterable[str],
+    Y: Iterable[str],
+    Yp: TypedComponent,
+    applies: Callable[[IrreducibleType], bool],
+    expected: str,
+) -> tuple[VertexSet, VertexSet]:
+    Xs, Ys = g.subset(X), g.subset(Y)
+    if not set(Ys) <= set(Xs):
+        raise ValueError("Y must be a subset of X")
+    if Yp.vertices not in components(g, Ys):
+        raise ValueError("the typed component is not a component of Y")
+    if not applies(Yp.type):
+        raise ValueError(f"component has type {Yp.type}, expected {expected}")
+    return Xs, Ys
+
+
+def check_d2k_exception(
+    g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
+) -> bool:
+    """Obstruction test for a D_2k component, k > 2, of a subset Y of X."""
+    Xs, Ys = _check_site(g, X, Y, Yp, _is_d2k, "even D of rank >= 6")
+    return _find_d2k_obstruction(g, Xs, Ys, Yp) is not None
 
 
 def check_d4_exception(
     g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
 ) -> bool:
     """Obstruction test for a D_4 component of a subset Y of X."""
-    Xs, Ys = g.subset(X), g.subset(Y)
-    _check_preconditions(g, Xs, Ys, Yp)
-    t = Yp.type
-    if not (t.family == "D" and t.rank == 4):
-        raise ValueError(f"component has type {t}, expected D4")
+    Xs, Ys = _check_site(g, X, Y, Yp, _is_d4, "D4")
     return _find_d4_obstruction(g, Xs, Ys, Yp) is not None
 
 
@@ -263,7 +289,8 @@ def decide_stability(
     leaf obstructions, then the component-tuple comparison of the closure
     under all twists against the closure under twists inside X.  The first
     obstruction found is returned as the witness; with no obstruction the
-    subgroup is stable.
+    subgroup is stable.  All closures of one call share one table of twist
+    steps per union, filled as they reach new unions and dropped on return.
     """
     Xs = g.subset(X)
     if len(Xs) > max_subset_size:
@@ -276,51 +303,35 @@ def decide_stability(
             typed[T] = [recognize_component(g, comp) for comp in components(g, T)]
         return typed[T]
 
-    for T in _subsets_descending(Xs):
-        for tc in typed_components(T):
-            if tc is None:
-                continue
-            t = tc.type
-            if t.family == "D" and t.rank >= 6 and t.rank % 2 == 0:
-                attach = _find_d2k_obstruction(g, Xs, T, tc)
-                if attach is not None:
-                    return StabilityVerdict(
-                        "not_stable",
-                        Witness(
-                            "d2k_exception",
-                            subset=T,
-                            component=tc.positions,
-                            attach=attach,
-                        ),
-                    )
-
-    for T in _subsets_descending(Xs):
-        for tc in typed_components(T):
-            if tc is None:
-                continue
-            if tc.type.family == "D" and tc.type.rank == 4:
-                site = _find_d4_obstruction(g, Xs, T, tc)
+    phases = (
+        ("d2k_exception", _is_d2k, _find_d2k_obstruction),
+        ("d4_exception", _is_d4, _find_d4_obstruction),
+    )
+    for kind, applies, find in phases:
+        for T in _subsets_descending(Xs):
+            for tc in typed_components(T):
+                site = None if tc is None or not applies(tc.type) else find(g, Xs, T, tc)
                 if site is not None:
                     leaf, attach = site
-                    return StabilityVerdict(
-                        "not_stable",
-                        Witness(
-                            "d4_exception",
-                            subset=T,
-                            component=tc.positions,
-                            leaf=leaf,
-                            attach=attach,
-                        ),
+                    witness = Witness(
+                        kind, subset=T, component=tc.positions, leaf=leaf, attach=attach
                     )
+                    return StabilityVerdict("not_stable", witness)
 
     inside = set(Xs)
+    steps: StepTable = {}  # shared by both closures of every subset
     for X1 in _subsets_descending(Xs):
-        internal = tuple_orbit(g, X1, lambda t: t in inside)
-        external = tuple_orbit(g, X1)
-        for T, word in external.items():
-            if T in internal:
-                continue
-            if all(v in inside for part in T for v in part):
+        external = _tuple_closure(g, X1, steps)
+        landed = [
+            (T, word)
+            for T, word in external.items()
+            if all(v in inside for part in T for v in part)
+        ]
+        if len(landed) == 1:  # only the start, which the internal closure has
+            continue
+        internal = _tuple_closure(g, X1, steps, inside.__contains__)
+        for T, word in landed:
+            if T not in internal:
                 return StabilityVerdict(
                     "not_stable",
                     Witness("permutation", subset=X1, tuple=T, word=word),

@@ -118,6 +118,20 @@ def delta_conjugate_set(
     return tuple(sorted(out))
 
 
+def twist_component(
+    g: CoxeterGraph, Y: VertexSet, t: str, anchor: str | None = None
+) -> tuple[VertexSet, TypedComponent | None]:
+    """The component of Y + t containing the anchor (t by default), with its
+    recognized type, None when it is not spherical.  Y is canonical; without
+    an anchor, t must be adjacent to Y."""
+    if anchor is None:
+        if t not in adjacent(g, Y):
+            raise ValueError(f"{t!r} is not adjacent to {list(Y)}")
+        anchor = t
+    comp = next(c for c in components(g, Y + (t,)) if anchor in c)
+    return comp, recognize_component(g, comp)
+
+
 def elementary_twist(
     g: CoxeterGraph, Y: Iterable[str], t: str
 ) -> tuple[VertexSet, TwistFactor] | None:
@@ -128,11 +142,7 @@ def elementary_twist(
     not twistable.  The new set has the same size as Y.
     """
     Ys = g.subset(Y)
-    if t not in adjacent(g, Ys):
-        raise ValueError(f"{t!r} is not adjacent to {list(Ys)}")
-    extended = g.subset(Ys + (t,))
-    comp = next(c for c in components(g, extended) if t in c)
-    tc = recognize_component(g, comp)
+    comp, tc = twist_component(g, Ys, t)
     if tc is None or not is_twistable(tc):
         return None
     tau = delta_automorphism(tc)
@@ -147,11 +157,7 @@ def elementary_ribbon_target(
     containing s, conjugation by delta(U minus s)^-1 delta(U) carries T to a
     new standard set whenever U is spherical (twistable or not)."""
     Ts = g.subset(T)
-    if s not in adjacent(g, Ts):
-        raise ValueError(f"{s!r} is not adjacent to {list(Ts)}")
-    extended = g.subset(Ts + (s,))
-    U = next(c for c in components(g, extended) if s in c)
-    tc = recognize_component(g, U)
+    U, tc = twist_component(g, Ts, s)
     if tc is None:
         return None
     tau = delta_automorphism(tc)

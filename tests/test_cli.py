@@ -58,6 +58,16 @@ def test_validate_bad_file(capsys, tmp_path):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("label", ["false", "0.0", "1e400"])
+def test_validate_rejects_non_integer_labels(capsys, tmp_path, label):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"generators": ["a", "b"], "relations": [["a", "b", %s]]}' % label)
+    code, out, err = run(capsys, "validate", "--graph", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "invalid label" in err
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--graph", str(tmp_path / "nope.json"))
     assert code == 2

@@ -44,6 +44,13 @@ def test_parse_infinite_by_default():
     assert g.label("b", "c") == INFINITY
 
 
+@pytest.mark.parametrize("label", ["false", "true", "0.0", "1e400", "-1e400", "3.0", "2.5", '"0"', "null"])
+def test_parse_rejects_labels_outside_the_format(label):
+    text = '{"generators": ["a", "b"], "relations": [["a", "b", %s]]}' % label
+    with pytest.raises(GraphError, match=r"relations\[0\]: invalid label"):
+        parse_graph(text)
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

@@ -74,6 +74,44 @@ def test_stability_sweep_matches_witness_golden_bytes():
     }
 
 
+def reference_closure(g, X1, allowed=None):
+    """BFS closure of the component tuple of X1 built only from tuple_twist."""
+    start = initial_tuple(g, X1)
+    table = {start: ConjugatorWord()}
+    queue = deque([start])
+    while queue:
+        T = queue.popleft()
+        for t in adjacent(g, [v for part in T for v in part]):
+            if allowed is not None and not allowed(t):
+                continue
+            step = tuple_twist(g, T, t)
+            if step is None or step[0] in table:
+                continue
+            table[step[0]] = table[T].extended(step[1])
+            queue.append(step[0])
+    return table
+
+
+def test_shared_step_table_closures_equal_tuple_twist_reference():
+    from artinstab.stability import _tuple_closure
+
+    rng = random.Random(0x57E9)
+    compared = 0
+    for _ in range(150):
+        g = random_graph(rng)
+        X = random_subset(rng, g)
+        inside = set(X)
+        steps: dict = {}  # one table for every subset, as in the decision
+        for r in range(len(X), 0, -1):
+            for X1 in combinations(X, r):
+                for allowed in (inside.__contains__, None):
+                    got = _tuple_closure(g, X1, steps, allowed)
+                    want = reference_closure(g, X1, allowed)
+                    assert list(got.items()) == list(want.items()), (g, X, X1)
+                    compared += 1
+    assert compared > 500
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_step_table.py --write")
