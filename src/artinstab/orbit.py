@@ -10,8 +10,8 @@ stability decision.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .graph import CoxeterGraph, VertexSet, adjacent
@@ -24,14 +24,14 @@ class OrbitTable:
 
     The first entry is always the start subset with the empty word, and
     applying any entry's word to the start subset yields the entry's key.
-    Lookups go through the same map kept as a dict.
+    Lookups go through the same map as a dict, built on first use.
     """
 
     entries: tuple[tuple[VertexSet, ConjugatorWord], ...]
-    _index: dict[VertexSet, ConjugatorWord] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", dict(self.entries))
+    @cached_property
+    def _index(self) -> dict[VertexSet, ConjugatorWord]:
+        return dict(self.entries)
 
     def subsets(self) -> tuple[VertexSet, ...]:
         return tuple(key for key, _ in self.entries)

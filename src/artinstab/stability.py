@@ -321,17 +321,10 @@ def decide_stability(
     inside = set(Xs)
     steps: StepTable = {}  # shared by both closures of every subset
     for X1 in _subsets_descending(Xs):
-        external = _tuple_closure(g, X1, steps)
-        landed = [
-            (T, word)
-            for T, word in external.items()
-            if all(v in inside for part in T for v in part)
-        ]
-        if len(landed) == 1:  # only the start, which the internal closure has
-            continue
         internal = _tuple_closure(g, X1, steps, inside.__contains__)
-        for T, word in landed:
-            if T not in internal:
+        external = _tuple_closure(g, X1, steps)
+        for T, word in external.items():
+            if T not in internal and all(v in inside for part in T for v in part):
                 return StabilityVerdict(
                     "not_stable",
                     Witness("permutation", subset=X1, tuple=T, word=word),

@@ -25,6 +25,7 @@ from artinstab import (
     standard_graph,
     tuple_twist,
 )
+from artinstab.stability import _tuple_closure
 
 from conftest import random_graph, random_subset
 
@@ -93,8 +94,6 @@ def reference_closure(g, X1, allowed=None):
 
 
 def test_shared_step_table_closures_equal_tuple_twist_reference():
-    from artinstab.stability import _tuple_closure
-
     rng = random.Random(0x57E9)
     compared = 0
     for _ in range(150):
