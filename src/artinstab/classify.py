@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import (
     INFINITY,
@@ -237,20 +237,26 @@ class GroupFamilyReport:
         }
 
 
-def _maximal_cliques(vertices: VertexSet, nbrs: dict[str, set[str]]) -> list[set[str]]:
-    out: list[set[str]] = []
+def _maximal_cliques(vertices: VertexSet, nbrs: dict[str, set[str]]) -> Iterator[set[str]]:
+    """Yield each maximal clique once: Bron–Kerbosch with Tomita pivoting.
 
-    def grow(r: set[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        for v in sorted(p):
-            grow(r | {v}, p & nbrs[v], x & nbrs[v])
+    A branch (r, p, x) grows clique r from candidates p, with x the vertices
+    already covered.  The pivot u in p | x with the most neighbours in p
+    leaves only p - N(u) to branch on, which bounds the work by O(3^{n/3})
+    (Tomita, Tanaka and Takahashi, Theor. Comput. Sci. 363, 2006).
+    """
+    stack = [(set(), set(vertices), set())]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        u = min(p | x, key=lambda w: (-len(p & nbrs[w]), w))
+        for v in sorted(p - nbrs[u]):
+            stack.append((r | {v}, p & nbrs[v], x & nbrs[v]))
             p = p - {v}
             x = x | {v}
-
-    grow(set(), set(vertices), set())
-    return out
 
 
 def _affine_family(g: CoxeterGraph) -> str | None:

@@ -299,20 +299,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Only input errors map to exit 2; any other exception is a bug and
+    # propagates with its traceback.
     try:
         return args.handler(args)
-    except GraphError as exc:
+    except (GraphError, UnsupportedTypeError, OSError) as exc:
         _fail(str(exc))
         return 2
     except SubsetSizeLimitError as exc:
         _fail(str(exc))
         return 4
-    except UnsupportedTypeError as exc:
-        _fail(str(exc))
-        return 2
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
-        return 2
 
 
 if __name__ == "__main__":

@@ -107,7 +107,7 @@ class CoxeterGraph:
         known = set(self.generators)
         for name in out:
             if name not in known:
-                raise ValueError(f"unknown generator {name!r}")
+                raise GraphError(f"unknown generator {name!r}")
         return tuple(out)
 
 
@@ -120,11 +120,11 @@ def parse_graph(text: bytes | str) -> CoxeterGraph:
     receive the default label: 2 normally, infinity when
     ``infinite_by_default`` is set.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
         raise GraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphError("top-level value must be an object")

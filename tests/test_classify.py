@@ -15,6 +15,7 @@ from artinstab import (
     standard_graph,
 )
 
+from artinstab.classify import _maximal_cliques
 from conftest import build_graph, rename_graph
 
 
@@ -443,3 +444,94 @@ def test_spherical_implies_fc_on_samples():
     for family, n, m in [("A", 4, 0), ("D", 5, 0), ("F", 4, 0), ("I2", 2, 7)]:
         r = classify_group(standard_graph(family, n, m))
         assert r.spherical and r.fc_type
+
+
+# ------------------------------------------------------------ clique search
+
+
+def _random_nbrs(rng, n):
+    names = tuple(f"v{i}" for i in range(n))
+    density = rng.random()
+    nbrs = {v: set() for v in names}
+    for a, b in combinations(names, 2):
+        if rng.random() < density:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return names, nbrs
+
+
+def test_maximal_cliques_agree_with_networkx():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        names, nbrs = _random_nbrs(rng, rng.randint(1, 12))
+        h = nx.Graph()
+        h.add_nodes_from(names)
+        h.add_edges_from((a, b) for a in names for b in nbrs[a])
+        got = [frozenset(c) for c in _maximal_cliques(names, nbrs)]
+        assert len(got) == len(set(got))  # each clique exactly once
+        assert set(got) == {frozenset(c) for c in nx.find_cliques(h)}
+
+
+def _brute_force_fc_type(g):
+    """Every clique of the finite-label graph is spherical: components by a
+    plain graph search, each matched against the catalog by VF2."""
+    finite = nx.Graph()
+    finite.add_nodes_from(g.generators)
+    finite.add_edges_from(
+        (s, t) for s, t in combinations(g.generators, 2) if g.label(s, t) != INFINITY
+    )
+    known: dict[frozenset, bool] = {}
+    for clique in nx.enumerate_all_cliques(finite):
+        for comp in nx.connected_components(_as_nx(g, tuple(clique))):
+            key = frozenset(comp)
+            if key not in known:
+                known[key] = brute_force_type(g, tuple(sorted(comp))) is not None
+            if not known[key]:
+                return False
+    return True
+
+
+def test_fc_type_agrees_with_brute_force_on_7_to_10_vertices():
+    rng = random.Random(710)
+    outcomes = []
+    for _ in range(200):
+        n = rng.randint(7, 10)
+        names = [f"s{i}" for i in range(n)]
+        # a per-graph share of commuting pairs, so both outcomes occur
+        commuting = rng.uniform(0.6, 0.95)
+        rels = []
+        for a, b in combinations(names, 2):
+            if rng.random() >= commuting:
+                rels.append((a, b, rng.choice((3, 4, 5, 6, INFINITY, INFINITY))))
+        g = build_graph(names, *rels)
+        expected = _brute_force_fc_type(g)
+        assert classify_group(g).fc_type is expected
+        outcomes.append(expected)
+    assert 30 <= sum(outcomes) <= len(outcomes) - 30
+
+
+@pytest.mark.parametrize(
+    "first, last, closing, spherical, fc_type, affine, applicability",
+    [
+        (3, 3, None, True, True, None, "FullStability"),
+        (3, 3, 3, False, False, "A~39", "FullStability"),
+        (4, 4, None, False, False, "C~39", "FullStability"),
+        (3, 3, INFINITY, False, True, None, "QuasiStability"),
+    ],
+    ids=["A40", "A~39", "C~39", "chain-closed-by-inf"],
+)
+def test_classify_rank_40(first, last, closing, spherical, fc_type, affine, applicability):
+    """A rank-40 chain s1..s40 with end labels first/last, closed by an
+    s1-s40 edge when closing is given."""
+    names = [f"s{i}" for i in range(1, 41)]
+    labels = [first] + [3] * 37 + [last]
+    rels = [(names[i], names[i + 1], m) for i, m in enumerate(labels)]
+    if closing is not None:
+        rels.append((names[0], names[-1], closing))
+    r = classify_group(build_graph(names, *rels))
+    assert (r.spherical, r.fc_type, r.affine_family, r.applicability) == (
+        spherical,
+        fc_type,
+        affine,
+        applicability,
+    )

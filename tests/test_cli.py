@@ -228,6 +228,44 @@ def test_unknown_generator_rejected_before_computation(capsys, e7_file):
     assert "unknown generator" in err
 
 
+def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch, e7_file):
+    def broken(g):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setattr("artinstab.cli.classify_group", broken)
+    with pytest.raises(ValueError, match="internal invariant broken"):
+        main(["classify", "--graph", e7_file])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe", b'{"generators": ["a", "b"], "relations": [["a", "b", 1%s]]}' % (b"0" * 5000)],
+    ids=["not-utf8", "over-long-integer"],
+)
+def test_undecodable_graph_file_is_invalid_input(capsys, tmp_path, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code, out, err = run(capsys, "classify", "--graph", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "malformed JSON" in err
+
+
+def test_stability_on_rank_40(capsys, tmp_path):
+    names = [f"s{i}" for i in range(1, 41)]
+    path = tmp_path / "a40.json"
+    path.write_text(
+        json.dumps(
+            {"generators": names, "relations": [[a, b, 3] for a, b in zip(names, names[1:])]}
+        )
+    )
+    code, out, _ = run(
+        capsys, "stability", "--graph", str(path), "--subset", "s17", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "stable"
+
+
 def test_export_dot(capsys, square_file):
     code, out, _ = run(capsys, "export-dot", "--graph", square_file)
     assert code == 0

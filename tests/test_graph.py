@@ -117,6 +117,12 @@ def test_induced_unknown_vertex():
         induced(a3, ("a", "z"))
 
 
+def test_subset_rejects_unknown_generator_as_graph_error():
+    a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
+    with pytest.raises(GraphError, match="unknown generator 'z'"):
+        a3.subset(("a", "z"))
+
+
 def test_components_basic():
     a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
     assert components(a3, ("a", "c")) == [("a",), ("c",)]
