@@ -313,7 +313,8 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
             for fset, dec in zip(factor_sets, factor_decomps)
         )
 
-    large = all(m != 2 for m in g.labels.values())
+    n = len(S)
+    large = len(g.labels) == n * (n - 1) // 2 and all(m != 2 for m in g.labels.values())
     two_dimensional = all(
         sum(
             (Fraction(0) if g.label(a, b) == INFINITY else Fraction(1, int(g.label(a, b))))

@@ -2,8 +2,9 @@
 
 A Coxeter graph records a finite set of generators together with, for every
 unordered pair, the length m of the braid relation between them: m = 2 means
-the pair commutes, infinity means there is no relation at all.  Two vertices
-are adjacent when m >= 3 (infinity included); this is the adjacency used by
+the pair commutes, infinity means there is no relation at all.  Only the
+pairs with m != 2 are stored; a missing pair commutes.  Two vertices are
+adjacent when m >= 3 (infinity included); this is the adjacency used by
 every algorithm in this package.
 
 All values are immutable after construction and every operation is a pure
@@ -48,7 +49,8 @@ class CoxeterGraph:
 
     The sorted generator order is the canonical order; every deterministic
     choice downstream (component ordering, BFS frontiers, serialization)
-    derives from it.
+    derives from it.  ``labels`` maps each sorted pair with m != 2 to m;
+    ``label`` reads a missing pair as 2.
     """
 
     generators: VertexSet
@@ -71,7 +73,6 @@ class CoxeterGraph:
             raise GraphError(f"duplicate generator names: {dup}")
         order = tuple(sorted(gens))
 
-        default: Label = INFINITY if infinite_by_default else 2
         labels: dict[tuple[str, str], Label] = {}
         for s, t, m in relations:
             if s not in order or t not in order:
@@ -90,13 +91,14 @@ class CoxeterGraph:
                     )
                 raise GraphError(f"pair ({s!r}, {t!r}) listed twice")
             labels[key] = m
-        for i, s in enumerate(order):
-            for t in order[i + 1 :]:
-                labels.setdefault((s, t), default)
-        return CoxeterGraph(order, labels)
+        if infinite_by_default:
+            for i, s in enumerate(order):
+                for t in order[i + 1 :]:
+                    labels.setdefault((s, t), INFINITY)
+        return CoxeterGraph(order, {key: m for key, m in labels.items() if m != 2})
 
     def label(self, s: str, t: str) -> Label:
-        return self.labels[_pair(s, t)]
+        return self.labels.get(_pair(s, t), 2)
 
     def has_edge(self, s: str, t: str) -> bool:
         return self.label(s, t) >= 3
@@ -112,7 +114,7 @@ class CoxeterGraph:
 
 
 def parse_graph(text: bytes | str) -> CoxeterGraph:
-    """Parse the JSON input format into a fully label-filled graph.
+    """Parse the JSON input format into a graph.
 
     The file format is ``{"generators": [...], "relations": [[s, t, m], ...],
     "infinite_by_default": false}`` where a relation label is an integer >= 2,
@@ -160,8 +162,6 @@ def to_json_dict(g: CoxeterGraph) -> dict:
     relations = []
     for (s, t) in sorted(g.labels):
         m = g.labels[(s, t)]
-        if m == 2:
-            continue
         relations.append([s, t, 0 if m == INFINITY else m])
     return {
         "generators": list(g.generators),
@@ -177,7 +177,8 @@ def serialize_graph(g: CoxeterGraph) -> str:
 def induced(g: CoxeterGraph, X: Iterable[str]) -> CoxeterGraph:
     """The graph on X with labels restricted from g."""
     Xs = g.subset(X)
-    labels = {(s, t): g.labels[(s, t)] for i, s in enumerate(Xs) for t in Xs[i + 1 :]}
+    inside = set(Xs)
+    labels = {(s, t): m for (s, t), m in g.labels.items() if s in inside and t in inside}
     return CoxeterGraph(Xs, labels)
 
 
@@ -225,8 +226,6 @@ def to_dot(g: CoxeterGraph) -> str:
         lines.append(f'  "{v}";')
     for (s, t) in sorted(g.labels):
         m = g.labels[(s, t)]
-        if m < 3:
-            continue
         if m == INFINITY:
             lines.append(f'  "{s}" -- "{t}" [label="∞"];')
         elif m > 3:

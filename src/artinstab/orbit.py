@@ -2,7 +2,9 @@
 
 Two standard parabolic subgroups are conjugate exactly when one lies in the
 twist closure of the other; the search records, for every reachable subset,
-a word of Garside factors witnessing the conjugation.  The same search
+a word of Garside factors witnessing the conjugation.  ``orbit`` and
+``conjugator`` search over subsets written as int masks of the generator
+order and convert to name tuples only for their results.  The same search
 engine, ``bfs_closure``, also runs the component-tuple closures of the
 stability decision.
 """
@@ -11,11 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .graph import CoxeterGraph, VertexSet, adjacent
-from .twist import ConjugatorWord, TwistFactor, elementary_twist
+from .graph import CoxeterGraph, VertexSet
+from .twist import ConjugatorWord, TwistFactor, _garside_twist
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,68 @@ def bfs_closure(
     return table, None
 
 
-def _twists(g: CoxeterGraph, Y: VertexSet) -> Iterator[tuple[VertexSet, TwistFactor]]:
-    for t in adjacent(g, Y):
-        step = elementary_twist(g, Y, t)
-        if step is not None:
-            yield step
+def _mask_twists(g: CoxeterGraph) -> Callable[[int], Iterator[tuple[int, TwistFactor]]]:
+    """The twist successors of subsets written as int masks, bit i standing
+    for ``g.generators[i]``.  Adjacent generators are tried in increasing
+    bit order, the order of ``adjacent``; the twist of each component of
+    Y + t containing t is recognized once per call, keyed by (component, t)."""
+    gens = g.generators
+    index = {v: i for i, v in enumerate(gens)}
+    nbrs = [0] * len(gens)
+    for (s, t), m in g.labels.items():
+        if m >= 3:
+            nbrs[index[s]] |= 1 << index[t]
+            nbrs[index[t]] |= 1 << index[s]
+    memo: dict[tuple[int, int], tuple[int, TwistFactor] | None] = {}
+
+    def successors(Y: int) -> Iterator[tuple[int, TwistFactor]]:
+        near = 0
+        for i in _bits(Y):
+            near |= nbrs[i]
+        for t in _bits(near & ~Y):
+            comp = frontier = 1 << t
+            while frontier:
+                reach = 0
+                for i in _bits(frontier):
+                    reach |= nbrs[i]
+                frontier = reach & Y & ~comp
+                comp |= frontier
+            key = (comp, t)
+            if key not in memo:
+                twist = _garside_twist(g, _names(gens, comp))
+                if twist is None:
+                    memo[key] = None
+                else:
+                    tau, factor = twist
+                    memo[key] = comp & ~(1 << index[tau[gens[t]]]), factor
+            step = memo[key]
+            if step is not None:
+                yield (Y & ~comp) | step[0], step[1]
+
+    return successors
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bit positions of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _names(gens: VertexSet, mask: int) -> VertexSet:
+    return tuple(gens[i] for i in _bits(mask))
+
+
+def _mask(g: CoxeterGraph, names: VertexSet) -> int:
+    return sum(1 << g.generators.index(v) for v in names)
 
 
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    table, _ = bfs_closure(g.subset(X), partial(_twists, g))
-    return OrbitTable(tuple(table.items()))
+    table, _ = bfs_closure(_mask(g, g.subset(X)), _mask_twists(g))
+    gens = g.generators
+    return OrbitTable(tuple((_names(gens, Y), word) for Y, word in table.items()))
 
 
 def conjugator(
@@ -106,5 +159,5 @@ def conjugator(
         return None
     if Xs == Xps:
         return ConjugatorWord()
-    _, word = bfs_closure(Xs, partial(_twists, g), Xps)
+    _, word = bfs_closure(_mask(g, Xs), _mask_twists(g), _mask(g, Xps))
     return word

@@ -29,16 +29,14 @@ from .classify import (
     TypedComponent,
     classify_group,
     is_spherical,
-    is_twistable,
     recognize_component,
 )
 from .graph import CoxeterGraph, VertexSet, adjacent, components
 from .orbit import bfs_closure
 from .twist import (
     ConjugatorWord,
-    DeltaActionUndefined,
     TwistFactor,
-    delta_automorphism,
+    _garside_twist,
     delta_conjugate_set,
     twist_component,
 )
@@ -123,11 +121,12 @@ def tuple_twist(
 ) -> tuple[ComponentTuple, TwistFactor] | None:
     """Twist the union of the tuple at t, tracking each position's image."""
     union = g.subset([v for part in T for v in part])
-    comp, tc = twist_component(g, union, t)
-    if tc is None or not is_twistable(tc):
+    comp = twist_component(g, union, t)
+    twist = _garside_twist(g, comp)
+    if twist is None:
         return None
     moved = tuple(delta_conjugate_set(g, comp, part) for part in T)
-    return moved, TwistFactor(comp, 1)
+    return moved, twist[1]
 
 
 # For a canonical union Y of a tuple: (t, the involution of the component of
@@ -140,13 +139,9 @@ StepTable = dict[VertexSet, tuple[Step, ...]]
 def _twist_steps(g: CoxeterGraph, union: VertexSet) -> tuple[Step, ...]:
     out = []
     for t in adjacent(g, union):
-        comp, tc = twist_component(g, union, t)
-        if tc is None or not is_twistable(tc):
-            continue
-        for x in union:
-            if x not in comp and any(g.has_edge(x, v) for v in comp):
-                raise DeltaActionUndefined(x, comp)
-        out.append((t, delta_automorphism(tc), TwistFactor(comp, 1), {}))
+        twist = _garside_twist(g, twist_component(g, union, t, t))
+        if twist is not None:
+            out.append((t, *twist, {}))
     return tuple(out)
 
 
@@ -195,7 +190,7 @@ def _odd_extension(
     has type D of odd rank."""
     for t in adjacent(g, (end,)):
         if (t not in X) if outside else (t in X and t not in Y):
-            _, tc = twist_component(g, Y, t, end)
+            tc = recognize_component(g, twist_component(g, Y, t, end))
             if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
                 return t
     return None

@@ -120,16 +120,26 @@ def delta_conjugate_set(
 
 def twist_component(
     g: CoxeterGraph, Y: VertexSet, t: str, anchor: str | None = None
-) -> tuple[VertexSet, TypedComponent | None]:
-    """The component of Y + t containing the anchor (t by default), with its
-    recognized type, None when it is not spherical.  Y is canonical; without
-    an anchor, t must be adjacent to Y."""
+) -> VertexSet:
+    """The component of Y + t containing the anchor (t by default).  Y is
+    canonical; without an anchor, t must be adjacent to Y."""
     if anchor is None:
         if t not in adjacent(g, Y):
             raise ValueError(f"{t!r} is not adjacent to {list(Y)}")
         anchor = t
-    comp = next(c for c in components(g, Y + (t,)) if anchor in c)
-    return comp, recognize_component(g, comp)
+    return next(c for c in components(g, Y + (t,)) if anchor in c)
+
+
+def _garside_twist(
+    g: CoxeterGraph, comp: VertexSet
+) -> tuple[dict[str, str], TwistFactor] | None:
+    """The involution that conjugation by the Garside element of the
+    connected canonical set comp induces on it, and that factor; None unless
+    comp is twistable."""
+    tc = recognize_component(g, comp)
+    if tc is None or not is_twistable(tc):
+        return None
+    return delta_automorphism(tc), TwistFactor(comp, 1)
 
 
 def elementary_twist(
@@ -142,12 +152,13 @@ def elementary_twist(
     not twistable.  The new set has the same size as Y.
     """
     Ys = g.subset(Y)
-    comp, tc = twist_component(g, Ys, t)
-    if tc is None or not is_twistable(tc):
+    comp = twist_component(g, Ys, t)
+    twist = _garside_twist(g, comp)
+    if twist is None:
         return None
-    tau = delta_automorphism(tc)
+    tau, factor = twist
     Z = (set(Ys) - set(comp)) | (set(comp) - {tau[t]})
-    return tuple(sorted(Z)), TwistFactor(comp, 1)
+    return tuple(sorted(Z)), factor
 
 
 def elementary_ribbon_target(
@@ -157,7 +168,8 @@ def elementary_ribbon_target(
     containing s, conjugation by delta(U minus s)^-1 delta(U) carries T to a
     new standard set whenever U is spherical (twistable or not)."""
     Ts = g.subset(T)
-    U, tc = twist_component(g, Ts, s)
+    U = twist_component(g, Ts, s)
+    tc = recognize_component(g, U)
     if tc is None:
         return None
     tau = delta_automorphism(tc)

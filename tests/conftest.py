@@ -17,8 +17,9 @@ def build_graph(names: str | list[str], *relations) -> CoxeterGraph:
 
 
 def random_graph(rng: random.Random, max_vertices: int = 6) -> CoxeterGraph:
+    """A random graph on 1 to max_vertices (at most 10) vertices a, b, c, ..."""
     n = rng.randint(1, max_vertices)
-    names = list("abcdef"[:n])
+    names = list("abcdefghij"[:n])
     rels = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -6,6 +6,7 @@ import pytest
 
 from artinstab import (
     INFINITY,
+    CoxeterGraph,
     classify_group,
     induced,
     is_spherical,
@@ -407,6 +408,13 @@ def test_large_and_two_dimensional_flags():
     r = classify_group(a3)
     assert not r.large and not r.two_dimensional
     assert r.spherical and r.applicability == "FullStability"
+
+
+def test_large_counts_missing_pairs_as_commuting():
+    names = ["a", "b", "c", "d"]
+    assert classify_group(CoxeterGraph.build(names, infinite_by_default=True)).large
+    one_two = CoxeterGraph.build(names, [("b", "d", 2)], infinite_by_default=True)
+    assert not classify_group(one_two).large
 
 
 def test_unknown_family():

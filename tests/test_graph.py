@@ -44,6 +44,36 @@ def test_parse_infinite_by_default():
     assert g.label("b", "c") == INFINITY
 
 
+def test_labels_store_only_non_commuting_pairs():
+    g = parse_graph(
+        '{"generators": ["b", "a", "c"], "relations": [["a", "b", 2], ["b", "c", 5]], '
+        '"infinite_by_default": true}'
+    )
+    assert g.labels == {("a", "c"): INFINITY, ("b", "c"): 5}
+    assert g.label("a", "b") == g.label("b", "a") == 2
+    assert not g.has_edge("a", "b")
+    assert build_graph("abc", ("a", "b", 3), ("b", "c", 2)).labels == {("a", "b"): 3}
+    assert induced(g, ("a", "b")).labels == {}
+    assert induced(g, ("b", "c")).labels == {("b", "c"): 5}
+
+
+def test_sparse_labels_serialize_as_before():
+    g = parse_graph(
+        '{"generators": ["b", "a", "c"], "relations": [["a", "b", 2], ["b", "c", 5]], '
+        '"infinite_by_default": true}'
+    )
+    assert json.loads(serialize_graph(g)) == {
+        "generators": ["a", "b", "c"],
+        "relations": [["a", "c", 0], ["b", "c", 5]],
+        "infinite_by_default": False,
+    }
+    assert to_dot(g) == (
+        'graph coxeter {\n  "a";\n  "b";\n  "c";\n'
+        '  "a" -- "c" [label="∞"];\n  "b" -- "c" [label="5"];\n}\n'
+    )
+    assert parse_graph(serialize_graph(g)).labels == g.labels
+
+
 @pytest.mark.parametrize("label", ["false", "true", "0.0", "1e400", "-1e400", "3.0", "2.5", '"0"', "null"])
 def test_parse_rejects_labels_outside_the_format(label):
     text = '{"generators": ["a", "b"], "relations": [["a", "b", %s]]}' % label

@@ -1,13 +1,19 @@
+import random
+from collections import deque
+from itertools import combinations
+
 from artinstab import (
     ConjugatorWord,
     TwistFactor,
+    adjacent,
     apply_word,
     conjugator,
+    elementary_twist,
     orbit,
     standard_graph,
 )
 
-from conftest import build_graph
+from conftest import build_graph, random_graph, random_subset, rename_graph
 
 
 def test_orbit_singleton_in_a3():
@@ -99,3 +105,39 @@ def test_orbit_json_shape():
         for factor in entry["word"]:
             assert set(factor) == {"delta_of", "sign"}
             assert factor["sign"] in (1, -1)
+
+
+def reference_orbit(g, X):
+    """Twist closure of X built only from the public adjacent and
+    elementary_twist, with a plain BFS over name tuples."""
+    start = g.subset(X)
+    table = {start: ConjugatorWord()}
+    queue = deque([start])
+    while queue:
+        Y = queue.popleft()
+        for t in adjacent(g, Y):
+            step = elementary_twist(g, Y, t)
+            if step is None or step[0] in table:
+                continue
+            table[step[0]] = table[Y].extended(step[1])
+            queue.append(step[0])
+    return table
+
+
+def test_orbit_and_conjugator_equal_name_tuple_reference():
+    # s1..s10: the canonical (sorted) order s1, s10, s2, ... differs from
+    # the construction order
+    rng = random.Random(0x0B17)
+    compared = 0
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=10)
+        g = rename_graph(g, {v: f"s{i + 1}" for i, v in enumerate(g.generators)})
+        X = random_subset(rng, g)
+        want = reference_orbit(g, X)
+        assert list(orbit(g, X).entries) == list(want.items()), (g, X)
+        # an early-stopping BFS finds a target with the word the full
+        # closure records for it
+        for Y in combinations(g.generators, len(X)):
+            assert conjugator(g, X, Y) == want.get(Y), (g, X, Y)
+            compared += 1
+    assert compared > 5000
