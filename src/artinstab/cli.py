@@ -230,6 +230,16 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub, graph_required=True):
     sub.add_argument("--graph", required=graph_required, help="path to the graph JSON file")
     sub.add_argument("--format", choices=("json", "text"), default="text")
@@ -276,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True)
     p.add_argument("--mode", choices=("auto", "force"), default="auto")
     p.add_argument("--expand-words", action="store_true")
-    p.add_argument("--max-subset-size", type=int, default=16)
+    p.add_argument("--max-subset-size", type=_positive_int, default=16)
     p.set_defaults(handler=_cmd_stability)
 
     p = subs.add_parser("export-dot", help="render the graph in DOT format")

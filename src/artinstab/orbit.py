@@ -59,70 +59,150 @@ class OrbitTable:
 
 State = TypeVar("State", bound=Hashable)
 
+# For each state in discovery order: (parent state, factor) of the first
+# path found to it, None for the start.
+Parents = dict[State, tuple[State, TwistFactor] | None]
+
 
 def bfs_closure(
     start: State,
     successors: Callable[[State], Iterable[tuple[State, TwistFactor]]],
     target: State | None = None,
-) -> tuple[dict[State, ConjugatorWord], ConjugatorWord | None]:
+) -> Parents:
     """Breadth-first closure of start under successors, which yields
-    (next state, factor) pairs.  The table maps each state, in discovery
-    order, to the word of the first path found to it; the search stops as
-    soon as target is discovered and then also returns its word."""
-    table: dict[State, ConjugatorWord] = {start: ConjugatorWord()}
+    (next state, factor) pairs, as parent pointers; the search stops as
+    soon as target is discovered.  Words are built from the pointers only
+    for the states a caller reports, by ``word_to`` or ``words``."""
+    parents: Parents = {start: None}
     queue: deque[State] = deque([start])
     while queue:
         Y = queue.popleft()
         for Z, factor in successors(Y):
-            if Z in table:
+            if Z in parents:
                 continue
-            word = table[Y].extended(factor)
-            table[Z] = word
-            if target is not None and Z == target:
-                return table, word
+            parents[Z] = Y, factor
+            if Z == target:
+                return parents
             queue.append(Z)
-    return table, None
+    return parents
 
 
-def _mask_twists(g: CoxeterGraph) -> Callable[[int], Iterator[tuple[int, TwistFactor]]]:
-    """The twist successors of subsets written as int masks, bit i standing
-    for ``g.generators[i]``.  Adjacent generators are tried in increasing
-    bit order, the order of ``adjacent``; the twist of each component of
-    Y + t containing t is recognized once per call, keyed by (component, t)."""
-    gens = g.generators
-    index = {v: i for i, v in enumerate(gens)}
-    nbrs = [0] * len(gens)
-    for (s, t), m in g.labels.items():
-        if m >= 3:
-            nbrs[index[s]] |= 1 << index[t]
-            nbrs[index[t]] |= 1 << index[s]
-    memo: dict[tuple[int, int], tuple[int, TwistFactor] | None] = {}
+def word_to(parents: Parents, state: State) -> ConjugatorWord:
+    """The word of the path the closure found to state."""
+    factors = []
+    step = parents[state]
+    while step is not None:
+        state, factor = step
+        factors.append(factor)
+        step = parents[state]
+    return ConjugatorWord(tuple(reversed(factors)))
 
-    def successors(Y: int) -> Iterator[tuple[int, TwistFactor]]:
+
+def words(parents: Parents) -> dict[State, ConjugatorWord]:
+    """The word of every state of the closure, in discovery order."""
+    out: dict[State, ConjugatorWord] = {}
+    for Z, step in parents.items():
+        out[Z] = ConjugatorWord() if step is None else out[step[0]].extended(step[1])
+    return out
+
+
+class Images(dict):
+    """Images of masks under the involution a component's twist induces,
+    filled on first lookup; ``perm`` maps each single-bit mask of the
+    component to the bit of its image.  A mask disjoint from the component
+    is its own image."""
+
+    def __init__(self, perm: dict[int, int]):
+        super().__init__()
+        self.perm = perm
+
+    def __missing__(self, mask: int) -> int:
+        out = 0
+        for i in _bits(mask):
+            bit = 1 << i
+            out |= self.perm.get(bit, bit)
+        self[mask] = out
+        return out
+
+
+# A twist step of a subset mask: the bit of t, the component of the subset
+# plus t containing t, and that component's images and factor.
+MaskStep = tuple[int, int, Images, TwistFactor]
+
+
+class MaskTwists:
+    """Twists of subsets written as int masks, bit i standing for
+    ``g.generators[i]``, for one call: neighbour masks, the twist of each
+    component recognized once, and the twist steps of the unions a tuple
+    closure reaches.  Built per call and dropped with it."""
+
+    def __init__(self, g: CoxeterGraph):
+        self.g = g
+        self.gens = g.generators
+        self.index = {v: i for i, v in enumerate(self.gens)}
+        self.nbrs = [0] * len(self.gens)
+        for (s, t), m in g.labels.items():
+            if m >= 3:
+                self.nbrs[self.index[s]] |= 1 << self.index[t]
+                self.nbrs[self.index[t]] |= 1 << self.index[s]
+        self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
+        # union mask -> its steps, shared by every tuple closure of the call
+        self.unions: dict[int, list[MaskStep]] = {}
+
+    def mask(self, names: Iterable[str]) -> int:
+        return sum(1 << self.index[v] for v in names)
+
+    def names(self, mask: int) -> VertexSet:
+        return tuple(self.gens[i] for i in _bits(mask))
+
+    def flood(self, seed: int, within: int) -> int:
+        """The component of ``within`` containing the bits of seed."""
+        nbrs = self.nbrs
+        comp = frontier = seed
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= nbrs[i]
+            frontier = reach & within & ~comp
+            comp |= frontier
+        return comp
+
+    def components(self, X: int) -> tuple[int, ...]:
+        """The components of X, ordered by lowest bit."""
+        out = []
+        while X:
+            comp = self.flood(X & -X, X)
+            out.append(comp)
+            X &= ~comp
+        return tuple(out)
+
+    def twist(self, comp: int) -> tuple[Images, TwistFactor] | None:
+        """The twist of a component mask, recognized on first use."""
+        if comp not in self.twists:
+            found = _garside_twist(self.g, self.names(comp))
+            if found is None:
+                self.twists[comp] = None
+            else:
+                tau, factor = found
+                bit = {v: 1 << self.index[v] for v in tau}
+                self.twists[comp] = Images({bit[v]: bit[w] for v, w in tau.items()}), factor
+        return self.twists[comp]
+
+    def steps(self, Y: int) -> list[MaskStep]:
+        """(bit of t, the component C of Y + t containing t, the twist of C)
+        for each t adjacent to Y whose C is twistable, in increasing bit
+        order, the order of ``adjacent``."""
         near = 0
         for i in _bits(Y):
-            near |= nbrs[i]
+            near |= self.nbrs[i]
+        out = []
         for t in _bits(near & ~Y):
-            comp = frontier = 1 << t
-            while frontier:
-                reach = 0
-                for i in _bits(frontier):
-                    reach |= nbrs[i]
-                frontier = reach & Y & ~comp
-                comp |= frontier
-            key = (comp, t)
-            if key not in memo:
-                twist = _garside_twist(g, _names(gens, comp))
-                if twist is None:
-                    memo[key] = None
-                else:
-                    tau, factor = twist
-                    memo[key] = comp & ~(1 << index[tau[gens[t]]]), factor
-            step = memo[key]
-            if step is not None:
-                yield (Y & ~comp) | step[0], step[1]
-
-    return successors
+            tbit = 1 << t
+            comp = self.flood(tbit, Y | tbit)
+            twist = self.twist(comp)
+            if twist is not None:
+                out.append((tbit, comp, *twist))
+        return out
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -133,19 +213,22 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _names(gens: VertexSet, mask: int) -> VertexSet:
-    return tuple(gens[i] for i in _bits(mask))
+def _mask_twists(tw: MaskTwists) -> Callable[[int], Iterator[tuple[int, TwistFactor]]]:
+    """The elementary twist successors of subset masks: the component C of
+    Y + t containing t is replaced by C minus the image of t."""
 
+    def successors(Y: int) -> Iterator[tuple[int, TwistFactor]]:
+        for tbit, comp, images, factor in tw.steps(Y):
+            yield (Y & ~comp) | (comp & ~images.perm[tbit]), factor
 
-def _mask(g: CoxeterGraph, names: VertexSet) -> int:
-    return sum(1 << g.generators.index(v) for v in names)
+    return successors
 
 
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    table, _ = bfs_closure(_mask(g, g.subset(X)), _mask_twists(g))
-    gens = g.generators
-    return OrbitTable(tuple((_names(gens, Y), word) for Y, word in table.items()))
+    tw = MaskTwists(g)
+    found = words(bfs_closure(tw.mask(g.subset(X)), _mask_twists(tw)))
+    return OrbitTable(tuple((tw.names(Y), word) for Y, word in found.items()))
 
 
 def conjugator(
@@ -159,5 +242,7 @@ def conjugator(
         return None
     if Xs == Xps:
         return ConjugatorWord()
-    _, word = bfs_closure(_mask(g, Xs), _mask_twists(g), _mask(g, Xps))
-    return word
+    tw = MaskTwists(g)
+    target = tw.mask(Xps)
+    parents = bfs_closure(tw.mask(Xs), _mask_twists(tw), target)
+    return word_to(parents, target) if target in parents else None

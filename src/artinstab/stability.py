@@ -32,7 +32,7 @@ from .classify import (
     recognize_component,
 )
 from .graph import CoxeterGraph, VertexSet, adjacent, components
-from .orbit import bfs_closure
+from .orbit import MaskTwists, Parents, bfs_closure, word_to, words
 from .twist import (
     ConjugatorWord,
     TwistFactor,
@@ -129,47 +129,27 @@ def tuple_twist(
     return moved, twist[1]
 
 
-# For a canonical union Y of a tuple: (t, the involution of the component of
-# Y + t containing t, its factor, the images of parts moved so far) for each
-# adjacent t whose component is twistable, in the order of ``adjacent``.
-Step = tuple[str, dict[str, str], TwistFactor, dict[VertexSet, VertexSet]]
-StepTable = dict[VertexSet, tuple[Step, ...]]
+# A component tuple written as part masks (see ``orbit.MaskTwists``).
+MaskTuple = tuple[int, ...]
 
 
-def _twist_steps(g: CoxeterGraph, union: VertexSet) -> tuple[Step, ...]:
-    out = []
-    for t in adjacent(g, union):
-        twist = _garside_twist(g, twist_component(g, union, t, t))
-        if twist is not None:
-            out.append((t, *twist, {}))
-    return tuple(out)
+def _tuple_closure(tw: MaskTwists, start: MaskTuple, allowed: int) -> Parents:
+    """The closure of ``tuple_orbit`` on part masks under twists at the
+    bits of allowed, as parent pointers.  Every part takes its image under
+    the twisted component (parts outside it stay); the steps of each union
+    are kept in ``tw.unions`` for the rest of the call."""
+    unions = tw.unions
 
-
-def _tuple_closure(
-    g: CoxeterGraph,
-    X1: Iterable[str],
-    steps: StepTable,
-    allowed: Callable[[str], bool] | None = None,
-) -> dict[ComponentTuple, ConjugatorWord]:
-    """The closure of ``tuple_orbit``, filling and reading the step table."""
-
-    def successors(T: ComponentTuple):
-        union = tuple(sorted(v for part in T for v in part))
-        found = steps.get(union)
+    def successors(T: MaskTuple):
+        union = sum(T)  # the parts are disjoint
+        found = unions.get(union)
         if found is None:
-            steps[union] = found = _twist_steps(g, union)
-        for t, tau, factor, moves in found:
-            if allowed is None or allowed(t):
-                moved = []
-                for part in T:
-                    image = moves.get(part)
-                    if image is None:
-                        moves[part] = image = tuple(sorted([tau.get(v, v) for v in part]))
-                    moved.append(image)
-                yield tuple(moved), factor
+            unions[union] = found = tw.steps(union)
+        for tbit, _, images, factor in found:
+            if tbit & allowed:
+                yield tuple(map(images.__getitem__, T)), factor
 
-    table, _ = bfs_closure(initial_tuple(g, X1), successors)
-    return table
+    return bfs_closure(start, successors)
 
 
 def tuple_orbit(
@@ -179,7 +159,12 @@ def tuple_orbit(
 ) -> dict[ComponentTuple, ConjugatorWord]:
     """BFS closure of the component tuple of X1 under tuple twists at
     vertices satisfying ``allowed`` (all vertices when None)."""
-    return _tuple_closure(g, X1, {}, allowed)
+    tw = MaskTwists(g)
+    bits = tw.mask(v for v in g.generators if allowed is None or allowed(v))
+    parents = _tuple_closure(tw, tw.components(tw.mask(g.subset(X1))), bits)
+    return {
+        tuple(tw.names(P) for P in T): word for T, word in words(parents).items()
+    }
 
 
 def _odd_extension(
@@ -284,8 +269,10 @@ def decide_stability(
     leaf obstructions, then the component-tuple comparison of the closure
     under all twists against the closure under twists inside X.  The first
     obstruction found is returned as the witness; with no obstruction the
-    subgroup is stable.  All closures of one call share one table of twist
-    steps per union, filled as they reach new unions and dropped on return.
+    subgroup is stable.  The closures run on component tuples of part
+    masks and share one ``MaskTwists``: each component's twist is recognized
+    once and each union's twist steps are listed once per call, and all of
+    it is dropped on return.  Only the witness gets its word.
     """
     Xs = g.subset(X)
     if len(Xs) > max_subset_size:
@@ -313,16 +300,23 @@ def decide_stability(
                     )
                     return StabilityVerdict("not_stable", witness)
 
-    inside = set(Xs)
-    steps: StepTable = {}  # shared by both closures of every subset
+    tw = MaskTwists(g)
+    inside = tw.mask(Xs)
+    everywhere = (1 << len(g.generators)) - 1
     for X1 in _subsets_descending(Xs):
-        internal = _tuple_closure(g, X1, steps, inside.__contains__)
-        external = _tuple_closure(g, X1, steps)
-        for T, word in external.items():
-            if T not in internal and all(v in inside for part in T for v in part):
+        start = tw.components(tw.mask(X1))
+        internal = _tuple_closure(tw, start, inside)
+        external = _tuple_closure(tw, start, everywhere)
+        for T in external:
+            if T not in internal and all(P & inside == P for P in T):
                 return StabilityVerdict(
                     "not_stable",
-                    Witness("permutation", subset=X1, tuple=T, word=word),
+                    Witness(
+                        "permutation",
+                        subset=X1,
+                        tuple=tuple(tw.names(P) for P in T),
+                        word=word_to(external, T),
+                    ),
                 )
     return StabilityVerdict("stable")
 

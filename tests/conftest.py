@@ -16,9 +16,12 @@ def build_graph(names: str | list[str], *relations) -> CoxeterGraph:
     return CoxeterGraph.build(list(names), list(relations))
 
 
-def random_graph(rng: random.Random, max_vertices: int = 6) -> CoxeterGraph:
-    """A random graph on 1 to max_vertices (at most 10) vertices a, b, c, ..."""
-    n = rng.randint(1, max_vertices)
+def random_graph(
+    rng: random.Random, max_vertices: int = 6, min_vertices: int = 1
+) -> CoxeterGraph:
+    """A random graph on min_vertices to max_vertices (at most 10) vertices
+    a, b, c, ..."""
+    n = rng.randint(min_vertices, max_vertices)
     names = list("abcdefghij"[:n])
     rels = []
     for i in range(n):

@@ -220,6 +220,17 @@ def test_stability_subset_cap(capsys, e7_file):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_stability_subset_cap_below_one_is_invalid_input(capsys, e7_file, cap):
+    code, out, err = run(
+        capsys, "stability", "--graph", e7_file, "--subset", "s1", "--max-subset-size", cap
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+    assert "cap of" not in err
+
+
 def test_unknown_generator_rejected_before_computation(capsys, e7_file):
     code, _, err = run(
         capsys, "stability", "--graph", e7_file, "--subset", "s1,zz"

@@ -1,11 +1,12 @@
-"""The stability decision's shared twist-step table, checked two ways.
+"""The stability decision's per-call twist tables, checked two ways.
 
 * A golden file holds the verdict and full witness JSON for every non-empty
   subset of A2-A7, B2-B4, D4-D7, E6, E7, F4 and I2(5..7); the sweep must
   reproduce it byte for byte.  Regenerate it (only for a deliberate witness
   change) with ``PYTHONPATH=src python tests/test_step_table.py --write``.
-* The closures the decision builds from its shared table must equal, keys,
-  words and order, a closure built only from the public ``tuple_twist``.
+* The mask closures the decision builds, with one ``MaskTwists`` shared by
+  all subsets and names converted at the boundary, must equal, keys, words
+  and order, a closure built only from the public ``tuple_twist``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from artinstab import (
     standard_graph,
     tuple_twist,
 )
+from artinstab.orbit import MaskTwists, words
 from artinstab.stability import _tuple_closure
 
-from conftest import random_graph, random_subset
+from conftest import random_graph, random_subset, rename_graph
 
 GOLDEN = Path(__file__).parent / "data" / "stability_witness_golden.json"
 
@@ -93,22 +95,43 @@ def reference_closure(g, X1, allowed=None):
     return table
 
 
-def test_shared_step_table_closures_equal_tuple_twist_reference():
+def mask_closure(tw, X1, allowed=None):
+    """The decision's closure of X1 on part masks, read back as names."""
+    bits = tw.mask(v for v in tw.gens if allowed is None or allowed(v))
+    parents = _tuple_closure(tw, tw.components(tw.mask(X1)), bits)
+    return {tuple(tw.names(P) for P in T): w for T, w in words(parents).items()}
+
+
+def reference_cases():
+    """The draws of 150 graphs of 1-6 vertices a..f, each with a subset,
+    then 40 graphs of 7-10 vertices with subsets of at most 8; all renamed
+    s1..s10, whose canonical order s1, s10, s2, ... differs from the
+    construction order."""
     rng = random.Random(0x57E9)
+    for k in range(190):
+        if k < 150:
+            g = random_graph(rng)
+            X = random_subset(rng, g)
+        else:
+            g = random_graph(rng, max_vertices=10, min_vertices=7)
+            X = rng.sample(g.generators, rng.randint(1, min(8, len(g.generators))))
+        names = {v: f"s{i + 1}" for i, v in enumerate(g.generators)}
+        yield rename_graph(g, names), sorted(names[v] for v in X)
+
+
+def test_shared_step_table_closures_equal_tuple_twist_reference():
     compared = 0
-    for _ in range(150):
-        g = random_graph(rng)
-        X = random_subset(rng, g)
+    for g, X in reference_cases():
         inside = set(X)
-        steps: dict = {}  # one table for every subset, as in the decision
+        tw = MaskTwists(g)  # one set of tables for every subset, as in the decision
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
                 for allowed in (inside.__contains__, None):
-                    got = _tuple_closure(g, X1, steps, allowed)
+                    got = mask_closure(tw, X1, allowed)
                     want = reference_closure(g, X1, allowed)
                     assert list(got.items()) == list(want.items()), (g, X, X1)
                     compared += 1
-    assert compared > 500
+    assert compared > 5000
 
 
 if __name__ == "__main__":
