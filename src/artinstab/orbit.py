@@ -5,8 +5,9 @@ twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the generator
 order and convert to name tuples only for their results.  The same search
-engine, ``bfs_closure``, also runs the component-tuple closures of the
-stability decision.
+engine, ``bfs_closure``, and the same per-call twist tables, ``MaskTwists``,
+also run the component-tuple closures of the stability decision.  The
+search keeps parent pointers; words are built only for reported states.
 """
 
 from __future__ import annotations
@@ -161,8 +162,10 @@ class MaskTwists:
         comp = frontier = seed
         while frontier:
             reach = 0
-            for i in _bits(frontier):
-                reach |= nbrs[i]
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & within & ~comp
             comp |= frontier
         return comp
@@ -192,14 +195,17 @@ class MaskTwists:
         """(bit of t, the component C of Y + t containing t, the twist of C)
         for each t adjacent to Y whose C is twistable, in increasing bit
         order, the order of ``adjacent``."""
+        nbrs, twists = self.nbrs, self.twists
         near = 0
         for i in _bits(Y):
-            near |= self.nbrs[i]
+            near |= nbrs[i]
         out = []
-        for t in _bits(near & ~Y):
-            tbit = 1 << t
+        near &= ~Y
+        while near:
+            tbit = near & -near
+            near ^= tbit
             comp = self.flood(tbit, Y | tbit)
-            twist = self.twist(comp)
+            twist = twists[comp] if comp in twists else self.twist(comp)
             if twist is not None:
                 out.append((tbit, comp, *twist))
         return out
