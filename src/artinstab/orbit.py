@@ -179,17 +179,16 @@ class MaskTwists:
             X &= ~comp
         return tuple(out)
 
-    def twist(self, comp: int) -> tuple[Images, TwistFactor] | None:
-        """The twist of a component mask, recognized on first use."""
-        if comp not in self.twists:
-            found = _garside_twist(self.g, self.names(comp))
-            if found is None:
-                self.twists[comp] = None
-            else:
-                tau, factor = found
-                bit = {v: 1 << self.index[v] for v in tau}
-                self.twists[comp] = Images({bit[v]: bit[w] for v, w in tau.items()}), factor
-        return self.twists[comp]
+    def _recognize(self, comp: int) -> tuple[Images, TwistFactor] | None:
+        """Recognize the twist of a component mask and keep it for the call."""
+        found = _garside_twist(self.g, self.names(comp))
+        twist = None
+        if found is not None:
+            tau, factor = found
+            bit = {v: 1 << self.index[v] for v in tau}
+            twist = Images({bit[v]: bit[w] for v, w in tau.items()}), factor
+        self.twists[comp] = twist
+        return twist
 
     def steps(self, Y: int) -> list[MaskStep]:
         """(bit of t, the component C of Y + t containing t, the twist of C)
@@ -205,7 +204,7 @@ class MaskTwists:
             tbit = near & -near
             near ^= tbit
             comp = self.flood(tbit, Y | tbit)
-            twist = twists[comp] if comp in twists else self.twist(comp)
+            twist = twists[comp] if comp in twists else self._recognize(comp)
             if twist is not None:
                 out.append((tbit, comp, *twist))
         return out
