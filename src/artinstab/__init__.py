@@ -5,8 +5,8 @@ Library layout:
 * :mod:`artinstab.graph` holds the Coxeter graph data model;
 * :mod:`artinstab.classify` recognizes finite-type diagrams and classifies
   the whole group into hypothesis families;
-* :mod:`artinstab.twist` implements set-level conjugation by Garside
-  elements (twists and ribbons);
+* :mod:`artinstab.twist` implements twists, the set-level conjugations by
+  Garside elements;
 * :mod:`artinstab.orbit` decides conjugacy of standard parabolic subgroups;
 * :mod:`artinstab.stability` decides conjugacy stability;
 * :mod:`artinstab.oracle` is an independent integer root-system engine used
@@ -72,7 +72,6 @@ from .twist import (
     delta_automorphism,
     delta_conjugate_set,
     delta_conjugation_map,
-    elementary_ribbon_target,
     elementary_twist,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "delta_automorphism",
     "delta_conjugate_set",
     "delta_conjugation_map",
-    "elementary_ribbon_target",
     "elementary_twist",
     "expand_delta",
     "expand_subset",

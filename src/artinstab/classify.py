@@ -77,6 +77,12 @@ def recognize_component(g: CoxeterGraph, Y: Iterable[str]) -> TypedComponent | N
     Ys = g.subset(Y)
     if components(g, Ys) != [Ys]:
         raise ValueError(f"subset is not connected: {Ys!r}")
+    return _recognize_connected(g, Ys)
+
+
+def _recognize_connected(g: CoxeterGraph, Ys: VertexSet) -> TypedComponent | None:
+    """``recognize_component`` for a canonical tuple already known to be
+    connected, without checking either."""
     n = len(Ys)
     if n == 1:
         return TypedComponent(IrreducibleType("A", 1), Ys)

@@ -13,12 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .classify import (
-    classify_group,
-    recognize_component,
-    spherical_decomposition,
-    standard_graph,
-)
+from .classify import classify_group, recognize_component, standard_graph
 from .graph import CoxeterGraph, GraphError, components, parse_graph, to_dot, to_json_dict
 from .oracle import (
     UnsupportedTypeError,

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import TypedComponent, recognize_component
-from .graph import CoxeterGraph, VertexSet, components
+from .graph import CoxeterGraph, components
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]

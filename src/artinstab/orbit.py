@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
+from .classify import TypedComponent, _recognize_connected
 from .graph import CoxeterGraph, VertexSet
 from .twist import ConjugatorWord, TwistFactor, _garside_twist
 
@@ -133,8 +134,8 @@ MaskStep = tuple[int, int, Images, TwistFactor]
 
 class MaskTwists:
     """Twists of subsets written as int masks, bit i standing for
-    ``g.generators[i]``, for one call: neighbour masks, the twist of each
-    component recognized once, and the twist steps of the unions a tuple
+    ``g.generators[i]``, for one call: neighbour masks, each component
+    recognized once, its twist, and the twist steps of the unions a tuple
     closure reaches.  Built per call and dropped with it."""
 
     def __init__(self, g: CoxeterGraph):
@@ -146,6 +147,7 @@ class MaskTwists:
             if m >= 3:
                 self.nbrs[self.index[s]] |= 1 << self.index[t]
                 self.nbrs[self.index[t]] |= 1 << self.index[s]
+        self.types: dict[int, TypedComponent | None] = {}
         self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
         # union mask -> its steps, shared by every tuple closure of the call
         self.unions: dict[int, list[MaskStep]] = {}
@@ -179,9 +181,16 @@ class MaskTwists:
             X &= ~comp
         return tuple(out)
 
+    def typed(self, comp: int) -> TypedComponent | None:
+        """The recognized type of a component mask, kept for the call.  The
+        mask must be connected, as every flood is."""
+        if comp not in self.types:
+            self.types[comp] = _recognize_connected(self.g, self.names(comp))
+        return self.types[comp]
+
     def _recognize(self, comp: int) -> tuple[Images, TwistFactor] | None:
-        """Recognize the twist of a component mask and keep it for the call."""
-        found = _garside_twist(self.g, self.names(comp))
+        """The twist of a component mask as a bit map, kept for the call."""
+        found = _garside_twist(self.typed(comp))
         twist = None
         if found is not None:
             tau, factor = found

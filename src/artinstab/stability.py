@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .classify import (
     GroupFamilyReport,
@@ -31,7 +31,7 @@ from .classify import (
     is_spherical,
     recognize_component,
 )
-from .graph import CoxeterGraph, VertexSet, adjacent, components
+from .graph import CoxeterGraph, VertexSet, components
 from .orbit import MaskTwists, Parents, bfs_closure, word_to, words
 from .twist import (
     ConjugatorWord,
@@ -122,7 +122,7 @@ def tuple_twist(
     """Twist the union of the tuple at t, tracking each position's image."""
     union = g.subset([v for part in T for v in part])
     comp = twist_component(g, union, t)
-    twist = _garside_twist(g, comp)
+    twist = _garside_twist(recognize_component(g, comp))
     if twist is None:
         return None
     moved = tuple(delta_conjugate_set(g, comp, part) for part in T)
@@ -168,16 +168,19 @@ def tuple_orbit(
 
 
 def _odd_extension(
-    g: CoxeterGraph, X: VertexSet, Y: VertexSet, end: str, outside: bool
+    tw: MaskTwists, inside: int, Y: int, end: str, outside: bool
 ) -> str | None:
     """The first vertex t adjacent to the end vertex, outside X (or else in
     X but not in Y), such that the component of Y + t containing the end
-    has type D of odd rank."""
-    for t in adjacent(g, (end,)):
-        if (t not in X) if outside else (t in X and t not in Y):
-            tc = recognize_component(g, twist_component(g, Y, t, end))
-            if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
-                return t
+    has type D of odd rank; inside is the mask of X."""
+    i = tw.index[end]
+    near = tw.nbrs[i] & (~inside if outside else inside & ~Y)
+    while near:
+        tbit = near & -near
+        near ^= tbit
+        tc = tw.typed(tw.flood(1 << i, Y | tbit))
+        if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
+            return tw.gens[tbit.bit_length() - 1]
     return None
 
 
@@ -190,32 +193,32 @@ def _is_d4(t: IrreducibleType) -> bool:
 
 
 def _find_d2k_obstruction(
-    g: CoxeterGraph, X: VertexSet, Y: VertexSet, Yp: TypedComponent
+    tw: MaskTwists, inside: int, Y: int, Yp: TypedComponent
 ) -> tuple[None, str] | None:
     """(None, outside vertex) at the tail of an even-D component (rank >= 6)
-    whose merge is odd D, provided no inside vertex at the tail merges to
-    odd D.  The None stands for the leaf of a D_4 site."""
+    of Y whose merge is odd D, provided no inside vertex at the tail merges
+    to odd D.  The None stands for the leaf of a D_4 site."""
     tail = Yp.positions[-1]
-    attach = _odd_extension(g, X, Y, tail, True)
-    if attach is None or _odd_extension(g, X, Y, tail, False) is not None:
+    attach = _odd_extension(tw, inside, Y, tail, True)
+    if attach is None or _odd_extension(tw, inside, Y, tail, False) is not None:
         return None
     return None, attach
 
 
 def _find_d4_obstruction(
-    g: CoxeterGraph, X: VertexSet, Y: VertexSet, Yp: TypedComponent
+    tw: MaskTwists, inside: int, Y: int, Yp: TypedComponent
 ) -> tuple[str, str] | None:
-    """(leaf, outside vertex) of an odd-D extension of a D_4 component that
-    no inside extension repairs, neither at the same leaf nor at both other
-    leaves."""
+    """(leaf, outside vertex) of an odd-D extension of a D_4 component of Y
+    that no inside extension repairs, neither at the same leaf nor at both
+    other leaves."""
     p = Yp.positions
     leaves = (p[0], p[1], p[3])
     for i, leaf in enumerate(leaves):
-        attach = _odd_extension(g, X, Y, leaf, True)
-        if attach is None or _odd_extension(g, X, Y, leaf, False) is not None:
+        attach = _odd_extension(tw, inside, Y, leaf, True)
+        if attach is None or _odd_extension(tw, inside, Y, leaf, False) is not None:
             continue
         others = [leaves[j] for j in range(3) if j != i]
-        if all(_odd_extension(g, X, Y, o, False) is not None for o in others):
+        if all(_odd_extension(tw, inside, Y, o, False) is not None for o in others):
             continue
         return leaf, attach
     return None
@@ -228,7 +231,8 @@ def _check_site(
     Yp: TypedComponent,
     applies: Callable[[IrreducibleType], bool],
     expected: str,
-) -> tuple[VertexSet, VertexSet]:
+    find: Callable[[MaskTwists, int, int, TypedComponent], tuple | None],
+) -> bool:
     Xs, Ys = g.subset(X), g.subset(Y)
     if not set(Ys) <= set(Xs):
         raise ValueError("Y must be a subset of X")
@@ -236,28 +240,32 @@ def _check_site(
         raise ValueError("the typed component is not a component of Y")
     if not applies(Yp.type):
         raise ValueError(f"component has type {Yp.type}, expected {expected}")
-    return Xs, Ys
+    tw = MaskTwists(g)
+    return find(tw, tw.mask(Xs), tw.mask(Ys), Yp) is not None
 
 
 def check_d2k_exception(
     g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
 ) -> bool:
     """Obstruction test for a D_2k component, k > 2, of a subset Y of X."""
-    Xs, Ys = _check_site(g, X, Y, Yp, _is_d2k, "even D of rank >= 6")
-    return _find_d2k_obstruction(g, Xs, Ys, Yp) is not None
+    return _check_site(
+        g, X, Y, Yp, _is_d2k, "even D of rank >= 6", _find_d2k_obstruction
+    )
 
 
 def check_d4_exception(
     g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
 ) -> bool:
     """Obstruction test for a D_4 component of a subset Y of X."""
-    Xs, Ys = _check_site(g, X, Y, Yp, _is_d4, "D4")
-    return _find_d4_obstruction(g, Xs, Ys, Yp) is not None
+    return _check_site(g, X, Y, Yp, _is_d4, "D4", _find_d4_obstruction)
 
 
-def _subsets_descending(X: VertexSet) -> Iterable[VertexSet]:
-    for size in range(len(X), 0, -1):
-        yield from combinations(X, size)
+def _subsets_descending(bits: list[int]) -> Iterator[int]:
+    """Masks of the non-empty subsets of the given bits, largest first, in
+    the order of ``combinations``."""
+    for size in range(len(bits), 0, -1):
+        for combo in combinations(bits, size):
+            yield sum(combo)
 
 
 def decide_stability(
@@ -269,42 +277,44 @@ def decide_stability(
     leaf obstructions, then the component-tuple comparison of the closure
     under all twists against the closure under twists inside X.  The first
     obstruction found is returned as the witness; with no obstruction the
-    subgroup is stable.  The closures run on component tuples of part
-    masks and share one ``MaskTwists``: each component's twist is recognized
-    once and each union's twist steps are listed once per call, and all of
-    it is dropped on return.  Only the witness gets its word.
+    subgroup is stable.  All three scans run on subset masks and share one
+    ``MaskTwists``: each component is recognized once and each union's
+    twist steps are listed once per call, and all of it is dropped on
+    return.  The closures run on component tuples of part masks, and only
+    the witness gets its word.  A max_subset_size below 1 is a ValueError.
     """
+    if max_subset_size < 1:
+        raise ValueError(f"max_subset_size must be at least 1, got {max_subset_size}")
     Xs = g.subset(X)
     if len(Xs) > max_subset_size:
         raise SubsetSizeLimitError(len(Xs), max_subset_size)
 
-    typed: dict[VertexSet, list[TypedComponent | None]] = {}
-
-    def typed_components(T: VertexSet) -> list[TypedComponent | None]:
-        if T not in typed:
-            typed[T] = [recognize_component(g, comp) for comp in components(g, T)]
-        return typed[T]
-
+    tw = MaskTwists(g)
+    inside = tw.mask(Xs)
+    bits = [1 << tw.index[v] for v in Xs]
     phases = (
         ("d2k_exception", _is_d2k, _find_d2k_obstruction),
         ("d4_exception", _is_d4, _find_d4_obstruction),
     )
     for kind, applies, find in phases:
-        for T in _subsets_descending(Xs):
-            for tc in typed_components(T):
-                site = None if tc is None or not applies(tc.type) else find(g, Xs, T, tc)
+        for T in _subsets_descending(bits):
+            for comp in tw.components(T):
+                tc = tw.typed(comp)
+                site = None if tc is None or not applies(tc.type) else find(tw, inside, T, tc)
                 if site is not None:
                     leaf, attach = site
                     witness = Witness(
-                        kind, subset=T, component=tc.positions, leaf=leaf, attach=attach
+                        kind,
+                        subset=tw.names(T),
+                        component=tc.positions,
+                        leaf=leaf,
+                        attach=attach,
                     )
                     return StabilityVerdict("not_stable", witness)
 
-    tw = MaskTwists(g)
-    inside = tw.mask(Xs)
     everywhere = (1 << len(g.generators)) - 1
-    for X1 in _subsets_descending(Xs):
-        start = tw.components(tw.mask(X1))
+    for X1 in _subsets_descending(bits):
+        start = tw.components(X1)
         internal = _tuple_closure(tw, start, inside)
         external = _tuple_closure(tw, start, everywhere)
         for T in external:
@@ -313,7 +323,7 @@ def decide_stability(
                     "not_stable",
                     Witness(
                         "permutation",
-                        subset=X1,
+                        subset=tw.names(X1),
                         tuple=tuple(tw.names(P) for P in T),
                         word=word_to(external, T),
                     ),

@@ -1,4 +1,4 @@
-"""Set-level conjugation by Garside elements: twists, ribbons, conjugator words.
+"""Set-level conjugation by Garside elements: twists and conjugator words.
 
 Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
@@ -118,28 +118,23 @@ def delta_conjugate_set(
     return tuple(sorted(out))
 
 
-def twist_component(
-    g: CoxeterGraph, Y: VertexSet, t: str, anchor: str | None = None
-) -> VertexSet:
-    """The component of Y + t containing the anchor (t by default).  Y is
-    canonical; without an anchor, t must be adjacent to Y."""
-    if anchor is None:
-        if t not in adjacent(g, Y):
-            raise ValueError(f"{t!r} is not adjacent to {list(Y)}")
-        anchor = t
-    return next(c for c in components(g, Y + (t,)) if anchor in c)
+def twist_component(g: CoxeterGraph, Y: VertexSet, t: str) -> VertexSet:
+    """The component of Y + t containing t.  Y is canonical and t must be
+    adjacent to Y."""
+    if t not in adjacent(g, Y):
+        raise ValueError(f"{t!r} is not adjacent to {list(Y)}")
+    return next(c for c in components(g, Y + (t,)) if t in c)
 
 
 def _garside_twist(
-    g: CoxeterGraph, comp: VertexSet
+    tc: TypedComponent | None,
 ) -> tuple[dict[str, str], TwistFactor] | None:
-    """The involution that conjugation by the Garside element of the
-    connected canonical set comp induces on it, and that factor; None unless
-    comp is twistable."""
-    tc = recognize_component(g, comp)
+    """The involution that conjugation by the Garside element of a
+    recognized component induces on it, and that factor; None unless the
+    component is twistable (None, the component of infinite type, is not)."""
     if tc is None or not is_twistable(tc):
         return None
-    return delta_automorphism(tc), TwistFactor(comp, 1)
+    return delta_automorphism(tc), TwistFactor(tc.vertices, 1)
 
 
 def elementary_twist(
@@ -153,30 +148,12 @@ def elementary_twist(
     """
     Ys = g.subset(Y)
     comp = twist_component(g, Ys, t)
-    twist = _garside_twist(g, comp)
+    twist = _garside_twist(recognize_component(g, comp))
     if twist is None:
         return None
     tau, factor = twist
     Z = (set(Ys) - set(comp)) | (set(comp) - {tau[t]})
     return tuple(sorted(Z)), factor
-
-
-def elementary_ribbon_target(
-    g: CoxeterGraph, T: Iterable[str], s: str
-) -> tuple[VertexSet, ConjugatorWord] | None:
-    """Target of the elementary ribbon at s: with U the component of T + s
-    containing s, conjugation by delta(U minus s)^-1 delta(U) carries T to a
-    new standard set whenever U is spherical (twistable or not)."""
-    Ts = g.subset(T)
-    U = twist_component(g, Ts, s)
-    tc = recognize_component(g, U)
-    if tc is None:
-        return None
-    tau = delta_automorphism(tc)
-    target = (set(Ts) - set(U)) | (set(U) - {tau[s]})
-    inner = tuple(sorted(set(U) - {s}))
-    word = ConjugatorWord((TwistFactor(inner, -1), TwistFactor(U, 1)))
-    return tuple(sorted(target)), word
 
 
 def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSet:

@@ -1,6 +1,7 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
+from math import factorial
 
 from artinstab import (
     ConjugatorWord,
@@ -141,3 +142,85 @@ def test_orbit_and_conjugator_equal_name_tuple_reference():
             assert conjugator(g, X, Y) == want.get(Y), (g, X, Y)
             compared += 1
     assert compared > 5000
+
+
+# ------------------------------------------- A_n: Young subgroups (no library)
+
+
+def young_blocks(n, X):
+    """Block sizes of the partition of {1..n+1} that X induces on A_n, where
+    s_i joins i and i + 1.  The standard parabolic subgroups of A_n on X and
+    X' are conjugate exactly when these multisets agree (they are Young
+    subgroups of the symmetric group; L. Paris, J. Algebra 196, 1997)."""
+    sizes, block = [], 1
+    for i in range(1, n + 1):
+        if f"s{i}" in X:
+            block += 1
+        else:
+            sizes.append(block)
+            block = 1
+    sizes.append(block)
+    return sorted(sizes)
+
+
+def young_class_size(blocks):
+    """The subsets with the same blocks: arrangements of the blocks in a row."""
+    out = factorial(len(blocks))
+    for count in Counter(blocks).values():
+        out //= factorial(count)
+    return out
+
+
+def a_subset(rng, n, runs):
+    """A random subset of A_n whose maximal runs have the given lengths."""
+    order = list(runs)
+    rng.shuffle(order)
+    slots = [0] * (len(order) + 1)  # free vertices before, between, after runs
+    for _ in range(n - sum(order) - (len(order) - 1)):
+        slots[rng.randrange(len(slots))] += 1
+    out, pos = [], 1 + slots[0]
+    for k, extra in zip(order, slots[1:]):
+        out += [f"s{j}" for j in range(pos, pos + k)]
+        pos += k + 1 + extra
+    return tuple(sorted(out))
+
+
+def test_a_n_orbits_are_the_young_classes_up_to_rank_7():
+    for n in range(1, 8):
+        g = standard_graph("A", n)
+        for k in range(1, n + 1):
+            for X in combinations(g.generators, k):
+                blocks = young_blocks(n, X)
+                members = orbit(g, X).subsets()
+                assert all(young_blocks(n, Y) == blocks for Y in members), (n, X)
+                assert len(members) == young_class_size(blocks), (n, X)
+
+
+def test_a_n_orbits_and_conjugators_follow_young_blocks_up_to_rank_30():
+    rng = random.Random(0xA30)
+    checked = 0
+    for n in (10, 12, 16, 20, 24, 30):
+        g = standard_graph("A", n)
+        for _ in range(6):
+            runs = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            X = a_subset(rng, n, runs)
+            blocks = young_blocks(n, X)
+            if young_class_size(blocks) > 3000:
+                continue
+            members = orbit(g, X).subsets()
+            assert all(young_blocks(n, Y) == blocks for Y in members), (n, X)
+            assert len(members) == young_class_size(blocks), (n, X)
+            Y = a_subset(rng, n, runs)
+            word = conjugator(g, X, Y)
+            assert word is not None and apply_word(g, X, word) == Y, (n, X, Y)
+            if len(runs) > 1:  # merge two runs: fewer blocks, same size
+                other = [runs[0] + runs[1]] + runs[2:]
+            elif runs[0] > 1:  # split the run: more blocks, same size
+                other = [runs[0] - 1, 1]
+            else:
+                continue
+            Z = a_subset(rng, n, other)
+            assert young_blocks(n, Z) != blocks
+            assert conjugator(g, X, Z) is None, (n, X, Z)
+            checked += 1
+    assert checked >= 25

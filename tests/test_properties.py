@@ -13,7 +13,6 @@ from artinstab import (
     decide_stability,
     delta_automorphism,
     delta_conjugation_map,
-    elementary_ribbon_target,
     elementary_twist,
     induced,
     initial_tuple,
@@ -132,35 +131,6 @@ def test_twist_is_a_label_preserving_bijection(gs):
             for b in Y:
                 if a < b:
                     assert g.label(a, b) == g.label(mapping[a], mapping[b])
-
-
-@given(graphs_with_subset())
-@settings(max_examples=60)
-def test_ribbon_case_analysis(gs):
-    g, T = gs
-    for s in adjacent(g, T):
-        res = elementary_ribbon_target(g, T, s)
-        if res is None:
-            continue
-        target, word = res
-        mapping = {x: apply_word(g, (x,), word)[0] for x in T}
-        assert set(mapping.values()) == set(target)
-        for comp in components(g, T):
-            tc = recognize_component(g, comp)
-            image = {mapping[v] for v in comp}
-            if tc is None or tc.type.family in ("B", "F", "H") or (
-                tc.type.family == "E" and tc.type.rank in (7, 8)
-            ):
-                assert all(mapping[v] == v for v in comp)
-            elif tc.type.family == "I2" or (
-                tc.type.family == "E" and tc.type.rank == 6
-            ):
-                tau = delta_automorphism(tc)
-                fixed = all(mapping[v] == v for v in comp)
-                reflected = all(mapping[v] == tau[v] for v in comp)
-                assert fixed or reflected
-            else:  # A or D
-                assert image <= set(T) | {s}
 
 
 @given(graphs_with_subset())

@@ -334,6 +334,15 @@ def test_decide_respects_subset_cap():
         decide_stability(e7, e7.generators, max_subset_size=3)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_decide_rejects_subset_cap_below_one(cap):
+    a5 = standard_graph("A", 5)
+    with pytest.raises(ValueError, match="at least 1"):
+        decide_stability(a5, ["s1"], max_subset_size=cap)
+    with pytest.raises(ValueError, match="at least 1"):
+        decide_with_applicability(a5, ["s1"], max_subset_size=cap)
+
+
 # ------------------------------------------------------------ applicability
 
 

@@ -11,7 +11,6 @@ from artinstab import (
     delta_automorphism,
     delta_conjugate_set,
     delta_conjugation_map,
-    elementary_ribbon_target,
     elementary_twist,
     induced,
     recognize_component,
@@ -162,106 +161,6 @@ def test_twist_involution():
     assert comp == factor.subset
     Y_back, _ = elementary_twist(e7, Z, back_vertex)
     assert Y_back == Y
-
-
-# ---------------------------------------------------------------- ribbons
-
-
-def _perm_mul(p, q):
-    """Apply p first, then q (left-to-right words)."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def test_ribbon_a2_example_and_symmetric_group_check():
-    a2 = build_graph("ab", ("a", "b", 3))
-    res = elementary_ribbon_target(a2, ("a",), "b")
-    assert res is not None
-    target, word = res
-    assert target == ("b",)
-    assert [f.sign for f in word] == [-1, 1]
-    assert [f.subset for f in word] == [("a",), ("a", "b")]
-
-    # brute-force check in the symmetric group on three points: conjugating
-    # the image of a by the image of delta{a}^-1 delta{a,b} yields the image
-    # of b
-    ident = (0, 1, 2)
-    pa = (1, 0, 2)  # image of a
-    pb = (0, 2, 1)  # image of b
-    w0 = (2, 1, 0)  # image of delta{a,b}
-    r = _perm_mul(_perm_inv(pa), w0)
-    conj = _perm_mul(_perm_mul(_perm_inv(r), pa), r)
-    assert conj == pb
-    assert _perm_mul(r, _perm_inv(r)) == ident
-
-
-def test_ribbon_through_central_types_fixes_the_set():
-    b4 = standard_graph("B", 4)
-    T = ("s1", "s2", "s3")  # a B3 inside B4
-    res = elementary_ribbon_target(b4, T, "s4")
-    assert res is not None
-    target, word = res
-    assert target == T
-    assert word.to_json_list() == [
-        {"delta_of": ["s1", "s2", "s3"], "sign": -1},
-        {"delta_of": ["s1", "s2", "s3", "s4"], "sign": 1},
-    ]
-
-
-def test_ribbon_no_ribbon_when_merge_not_spherical():
-    g = build_graph("abc", ("a", "b", INFINITY), ("b", "c", 3))
-    assert elementary_ribbon_target(g, ("a",), "b") is None
-
-
-def test_ribbon_requires_adjacency():
-    a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
-    with pytest.raises(ValueError, match="adjacent"):
-        elementary_ribbon_target(a3, ("a",), "c")
-
-
-def _ribbon_elementwise(g, T, s):
-    res = elementary_ribbon_target(g, T, s)
-    if res is None:
-        return None
-    target, word = res
-    mapping = {}
-    for x in T:
-        image = apply_word(g, (x,), word)
-        mapping[x] = image[0]
-    assert set(mapping.values()) == set(target)
-    return mapping
-
-
-def test_ribbon_case_analysis_by_component_type():
-    # B3 inside B4: fixed pointwise
-    b4 = standard_graph("B", 4)
-    m = _ribbon_elementwise(b4, ("s1", "s2", "s3"), "s4")
-    assert m == {"s1": "s1", "s2": "s2", "s3": "s3"}
-
-    # E6 inside E7 is mapped by its own diagram reflection, because the
-    # delta of E7 is central while the delta of E6 is not
-    e7 = standard_graph("E", 7)
-    T = tuple(f"s{i}" for i in range(1, 7))
-    m = _ribbon_elementwise(e7, T, "s7")
-    tc = recognize_component(e7, T)
-    assert m == delta_automorphism(tc)
-
-    # A-type component: image stays inside T + s
-    a4 = standard_graph("A", 4)
-    T = ("s1", "s2", "s3")
-    m = _ribbon_elementwise(a4, T, "s4")
-    assert set(m.values()) <= set(T) | {"s4"}
-
-    # a component not adjacent to the merge is untouched
-    g = build_graph("abcd", ("a", "b", 3), ("c", "d", 3))
-    m = _ribbon_elementwise(g, ("a", "c", "d"), "b")
-    assert m["c"] == "c" and m["d"] == "d"
 
 
 # ---------------------------------------------------------------- words
