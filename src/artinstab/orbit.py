@@ -5,9 +5,9 @@ twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the generator
 order and convert to name tuples only for their results.  The same search
-engine, ``bfs_closure``, and the same per-call twist tables, ``MaskTwists``,
-also run the component-tuple closures of the stability decision.  The
-search keeps parent pointers; words are built only for reported states.
+engine, ``bfs_closure``, and the same per-call tables, ``MaskTwists``, also
+run the stability decision: its D scans and its component-tuple closures.
+The search keeps parent pointers; words are built only for reported states.
 """
 
 from __future__ import annotations
