@@ -53,7 +53,6 @@ from .orbit import OrbitTable, conjugator, orbit
 from .stability import (
     ComponentTuple,
     StabilityReport,
-    StabilityVerdict,
     SubsetSizeLimitError,
     Witness,
     check_d2k_exception,
@@ -89,7 +88,6 @@ __all__ = [
     "IrreducibleType",
     "OrbitTable",
     "StabilityReport",
-    "StabilityVerdict",
     "SubsetSizeLimitError",
     "TwistFactor",
     "TypedComponent",

@@ -180,7 +180,7 @@ def spherical_decomposition(
     """Typed components of X when all are of finite type, else None."""
     out = []
     for comp in components(g, X):
-        tc = recognize_component(g, comp)
+        tc = _recognize_connected(g, comp)
         if tc is None:
             return None
         out.append(tc)

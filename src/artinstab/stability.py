@@ -84,13 +84,6 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class StabilityVerdict:
-    status: str  # "stable" | "not_stable" | "inapplicable"
-    witness: Witness | None = None
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     """Verdict plus the semantics it carries and the group-family context."""
 
@@ -184,43 +177,31 @@ def _odd_extension(
     return None
 
 
-def _is_d2k(t: IrreducibleType) -> bool:
-    return t.family == "D" and t.rank >= 6 and t.rank % 2 == 0
+def _d_kind(t: IrreducibleType) -> str | None:
+    """The witness kind of a D_2k (k > 2) or D_4 site, None for every other
+    type; recognized D types have rank at least 4."""
+    if t.family == "D" and t.rank % 2 == 0:
+        return "d4_exception" if t.rank == 4 else "d2k_exception"
+    return None
 
 
-def _is_d4(t: IrreducibleType) -> bool:
-    return t.family == "D" and t.rank == 4
-
-
-def _find_d2k_obstruction(
+def _find_d_obstruction(
     tw: MaskTwists, inside: int, Y: int, Yp: TypedComponent
-) -> tuple[None, str] | None:
-    """(None, outside vertex) at the tail of an even-D component (rank >= 6)
-    of Y whose merge is odd D, provided no inside vertex at the tail merges
-    to odd D.  The None stands for the leaf of a D_4 site."""
-    tail = Yp.positions[-1]
-    attach = _odd_extension(tw, inside, Y, tail, True)
-    if attach is None or _odd_extension(tw, inside, Y, tail, False) is not None:
-        return None
-    return None, attach
-
-
-def _find_d4_obstruction(
-    tw: MaskTwists, inside: int, Y: int, Yp: TypedComponent
-) -> tuple[str, str] | None:
-    """(leaf, outside vertex) of an odd-D extension of a D_4 component of Y
-    that no inside extension repairs, neither at the same leaf nor at both
-    other leaves."""
+) -> tuple[str | None, str] | None:
+    """(end, outside vertex) of an odd-D extension at an end of a D_2k or
+    D_4 component of Y that no inside extension repairs, neither at the same
+    end nor at all the other ends when there are any.  The ends are the tail
+    of D_2k, reported as None, and the three leaves of D_4."""
     p = Yp.positions
-    leaves = (p[0], p[1], p[3])
-    for i, leaf in enumerate(leaves):
-        attach = _odd_extension(tw, inside, Y, leaf, True)
-        if attach is None or _odd_extension(tw, inside, Y, leaf, False) is not None:
+    ends = (p[0], p[1], p[3]) if Yp.type.rank == 4 else (p[-1],)
+    for end in ends:
+        attach = _odd_extension(tw, inside, Y, end, True)
+        if attach is None or _odd_extension(tw, inside, Y, end, False) is not None:
             continue
-        others = [leaves[j] for j in range(3) if j != i]
-        if all(_odd_extension(tw, inside, Y, o, False) is not None for o in others):
+        others = [o for o in ends if o != end]
+        if others and all(_odd_extension(tw, inside, Y, o, False) is not None for o in others):
             continue
-        return leaf, attach
+        return (end if others else None), attach
     return None
 
 
@@ -229,35 +210,35 @@ def _check_site(
     X: Iterable[str],
     Y: Iterable[str],
     Yp: TypedComponent,
-    applies: Callable[[IrreducibleType], bool],
+    kind: str,
     expected: str,
-    find: Callable[[MaskTwists, int, int, TypedComponent], tuple | None],
 ) -> bool:
     Xs, Ys = g.subset(X), g.subset(Y)
     if not set(Ys) <= set(Xs):
         raise ValueError("Y must be a subset of X")
-    if Yp.vertices not in components(g, Ys):
-        raise ValueError("the typed component is not a component of Y")
-    if not applies(Yp.type):
-        raise ValueError(f"component has type {Yp.type}, expected {expected}")
     tw = MaskTwists(g)
-    return find(tw, tw.mask(Xs), tw.mask(Ys), Yp) is not None
+    Ym, comp = tw.mask(Ys), tw.mask(g.subset(Yp.positions))
+    # a component of Y is what a flood within Y from its lowest bit reaches
+    # (nothing unless that bit is in Y); recognition fixes type and positions
+    if tw.flood(comp & -comp & Ym, Ym) != comp or tw.typed(comp) != Yp:
+        raise ValueError("the typed component is not a component of Y")
+    if _d_kind(Yp.type) != kind:
+        raise ValueError(f"component has type {Yp.type}, expected {expected}")
+    return _find_d_obstruction(tw, tw.mask(Xs), Ym, Yp) is not None
 
 
 def check_d2k_exception(
     g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
 ) -> bool:
     """Obstruction test for a D_2k component, k > 2, of a subset Y of X."""
-    return _check_site(
-        g, X, Y, Yp, _is_d2k, "even D of rank >= 6", _find_d2k_obstruction
-    )
+    return _check_site(g, X, Y, Yp, "d2k_exception", "even D of rank >= 6")
 
 
 def check_d4_exception(
     g: CoxeterGraph, X: Iterable[str], Y: Iterable[str], Yp: TypedComponent
 ) -> bool:
     """Obstruction test for a D_4 component of a subset Y of X."""
-    return _check_site(g, X, Y, Yp, _is_d4, "D4", _find_d4_obstruction)
+    return _check_site(g, X, Y, Yp, "d4_exception", "D4")
 
 
 def _subsets_descending(bits: list[int]) -> Iterator[int]:
@@ -270,18 +251,19 @@ def _subsets_descending(bits: list[int]) -> Iterator[int]:
 
 def decide_stability(
     g: CoxeterGraph, X: Iterable[str], max_subset_size: int = 16
-) -> StabilityVerdict:
+) -> Witness | None:
     """Decide conjugacy stability of the standard parabolic subgroup on X.
 
     Scans subsets of X largest first: even-D tail obstructions, then D_4
     leaf obstructions, then the component-tuple comparison of the closure
-    under all twists against the closure under twists inside X.  The first
-    obstruction found is returned as the witness; with no obstruction the
-    subgroup is stable.  All three scans run on subset masks and share one
-    ``MaskTwists``: each component is recognized once and each union's
-    twist steps are listed once per call, and all of it is dropped on
-    return.  The closures run on component tuples of part masks, and only
-    the witness gets its word.  A max_subset_size below 1 is a ValueError.
+    under all twists against the closure under twists inside X.  Returns
+    the witness of the first obstruction found, or None when there is none
+    and the subgroup is stable.  All three scans run on subset masks and
+    share one ``MaskTwists``: each component is recognized once and each
+    union's twist steps are listed once per call, and all of it is dropped
+    on return.  The closures run on component tuples of part masks, and
+    only the witness gets its word.  A max_subset_size below 1 is a
+    ValueError.
     """
     if max_subset_size < 1:
         raise ValueError(f"max_subset_size must be at least 1, got {max_subset_size}")
@@ -292,25 +274,18 @@ def decide_stability(
     tw = MaskTwists(g)
     inside = tw.mask(Xs)
     bits = [1 << tw.index[v] for v in Xs]
-    phases = (
-        ("d2k_exception", _is_d2k, _find_d2k_obstruction),
-        ("d4_exception", _is_d4, _find_d4_obstruction),
-    )
-    for kind, applies, find in phases:
+    for kind in ("d2k_exception", "d4_exception"):
         for T in _subsets_descending(bits):
             for comp in tw.components(T):
                 tc = tw.typed(comp)
-                site = None if tc is None or not applies(tc.type) else find(tw, inside, T, tc)
+                if tc is None or _d_kind(tc.type) != kind:
+                    continue
+                site = _find_d_obstruction(tw, inside, T, tc)
                 if site is not None:
                     leaf, attach = site
-                    witness = Witness(
-                        kind,
-                        subset=tw.names(T),
-                        component=tc.positions,
-                        leaf=leaf,
-                        attach=attach,
+                    return Witness(
+                        kind, tw.names(T), component=tc.positions, leaf=leaf, attach=attach
                     )
-                    return StabilityVerdict("not_stable", witness)
 
     everywhere = (1 << len(g.generators)) - 1
     for X1 in _subsets_descending(bits):
@@ -319,16 +294,13 @@ def decide_stability(
         external = _tuple_closure(tw, start, everywhere)
         for T in external:
             if T not in internal and all(P & inside == P for P in T):
-                return StabilityVerdict(
-                    "not_stable",
-                    Witness(
-                        "permutation",
-                        subset=tw.names(X1),
-                        tuple=tuple(tw.names(P) for P in T),
-                        word=word_to(external, T),
-                    ),
+                return Witness(
+                    "permutation",
+                    subset=tw.names(X1),
+                    tuple=tuple(tw.names(P) for P in T),
+                    word=word_to(external, T),
                 )
-    return StabilityVerdict("stable")
+    return None
 
 
 def decide_with_applicability(
@@ -342,10 +314,13 @@ def decide_with_applicability(
     Groups in a family with full hypotheses get a stability verdict; FC-type
     groups outside those families get quasi-stability semantics, upgraded to
     full stability when X itself is spherical; unknown families yield an
-    inapplicable report unless mode is "force".
+    inapplicable report unless mode is "force".  A max_subset_size below 1
+    is a ValueError, whatever the family.
     """
     if mode not in ("auto", "force"):
         raise ValueError(f"mode must be 'auto' or 'force', got {mode!r}")
+    if max_subset_size < 1:  # before classify_group, which can take long
+        raise ValueError(f"max_subset_size must be at least 1, got {max_subset_size}")
     Xs = g.subset(X)
     family = classify_group(g)
     flags: tuple[str, ...] = ()
@@ -364,11 +339,11 @@ def decide_with_applicability(
             )
         flags = ("hypotheses_unverified",)
         semantics = "stability"
-    verdict = decide_stability(g, Xs, max_subset_size=max_subset_size)
+    witness = decide_stability(g, Xs, max_subset_size=max_subset_size)
     return StabilityReport(
-        verdict=verdict.status,
+        verdict="stable" if witness is None else "not_stable",
         semantics=semantics,
-        witness=verdict.witness,
+        witness=witness,
         family=family,
         flags=flags,
     )

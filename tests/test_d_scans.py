@@ -185,10 +185,9 @@ def test_decisions_equal_name_tuple_reference_for_every_x():
             continue
         ref = Reference(g)
         for X in subsets_descending(g.generators):
-            verdict = decide_stability(g, X)
-            got = None if verdict.witness is None else verdict.witness.to_json_dict()
+            witness = decide_stability(g, X)
+            got = None if witness is None else witness.to_json_dict()
             assert got == ref.decision(X), (g, X)
-            assert verdict.status == ("stable" if got is None else "not_stable")
             kind = "stable" if got is None else got["kind"]
             kinds[kind] = kinds.get(kind, 0) + 1
     assert set(kinds) == {"stable", "permutation", "d2k_exception", "d4_exception"}, kinds

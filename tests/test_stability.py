@@ -2,8 +2,10 @@ import pytest
 
 from artinstab import (
     INFINITY,
+    IrreducibleType,
     SubsetSizeLimitError,
     TwistFactor,
+    TypedComponent,
     apply_word,
     check_d2k_exception,
     check_d4_exception,
@@ -176,6 +178,19 @@ def test_d2k_precondition_checks():
     tc5 = d_component(d5, d5.generators)
     with pytest.raises(ValueError, match="even D"):
         check_d2k_exception(d5, d5.generators, d5.generators, tc5)
+    # the right vertices and type with the positions reversed: the tail is
+    # now at s1, so the component is not the one recognized
+    assert tc.positions == ("s1", "s2", "s3", "s4", "s5", "s6")
+    reversed_tc = TypedComponent(tc.type, tc.positions[::-1])
+    with pytest.raises(ValueError, match="not a component of Y"):
+        check_d2k_exception(d7, X, X, reversed_tc)
+    # likewise a D4 with its branch vertex moved out of position 3
+    Y = ("s1", "s2", "s3", "s4")
+    p = d_component(d5, Y).positions
+    assert p[2] == "s3"
+    moved = TypedComponent(IrreducibleType("D", 4), (p[2], p[1], p[0], p[3]))
+    with pytest.raises(ValueError, match="not a component of Y"):
+        check_d4_exception(d5, Y, Y, moved)
 
 
 # ------------------------------------------------------------ D4 exceptions
@@ -253,9 +268,8 @@ def test_d4_exception_triggers_at_prong_leaves_too():
 
 
 def test_decide_a3_separated_pair_not_stable_with_expected_witness():
-    v = decide_stability(A3, ("a", "c"))
-    assert v.status == "not_stable"
-    w = v.witness
+    w = decide_stability(A3, ("a", "c"))
+    assert w is not None
     assert w.kind == "permutation"
     assert w.subset == ("a", "c")
     assert w.tuple == (("c",), ("a",))
@@ -266,33 +280,33 @@ def test_decide_a3_separated_pair_not_stable_with_expected_witness():
 
 
 def test_decide_a3_adjacent_pair_stable():
-    assert decide_stability(A3, ("a", "b")).status == "stable"
+    assert decide_stability(A3, ("a", "b")) is None
 
 
 def test_decide_d5_d4_subset_gives_d4_witness():
     d5 = standard_graph("D", 5)
-    v = decide_stability(d5, ("s1", "s2", "s3", "s4"))
-    assert v.status == "not_stable"
-    assert v.witness.kind == "d4_exception"
-    assert v.witness.subset == ("s1", "s2", "s3", "s4")
-    assert v.witness.attach == "s5"
-    assert v.witness.leaf in ("s1", "s2", "s4")
+    w = decide_stability(d5, ("s1", "s2", "s3", "s4"))
+    assert w is not None
+    assert w.kind == "d4_exception"
+    assert w.subset == ("s1", "s2", "s3", "s4")
+    assert w.attach == "s5"
+    assert w.leaf in ("s1", "s2", "s4")
 
 
 def test_decide_d7_d6_subset_gives_d2k_witness():
     d7 = standard_graph("D", 7)
-    v = decide_stability(d7, tuple(f"s{i}" for i in range(1, 7)))
-    assert v.status == "not_stable"
-    assert v.witness.kind == "d2k_exception"
-    assert v.witness.attach == "s7"
-    assert v.witness.component == ("s1", "s2", "s3", "s4", "s5", "s6")
+    w = decide_stability(d7, tuple(f"s{i}" for i in range(1, 7)))
+    assert w is not None
+    assert w.kind == "d2k_exception"
+    assert w.attach == "s7"
+    assert w.component == ("s1", "s2", "s3", "s4", "s5", "s6")
 
 
 def test_decide_i2_singletons():
     i25 = standard_graph("I2", m=5)
-    assert decide_stability(i25, ("s1",)).status == "stable"
+    assert decide_stability(i25, ("s1",)) is None
     i26 = standard_graph("I2", m=6)
-    assert decide_stability(i26, ("s1",)).status == "stable"
+    assert decide_stability(i26, ("s1",)) is None
 
 
 def test_decide_whole_set_always_stable():
@@ -303,18 +317,18 @@ def test_decide_whole_set_always_stable():
         build_graph("abc", ("a", "b", 3), ("b", "c", 3), ("a", "c", INFINITY)),
         build_graph("abcd", ("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", 4)),
     ):
-        assert decide_stability(g, g.generators).status == "stable"
+        assert decide_stability(g, g.generators) is None
 
 
 def test_decide_empty_subset_is_stable():
-    assert decide_stability(A3, ()).status == "stable"
+    assert decide_stability(A3, ()) is None
 
 
 def test_decide_a4_uneven_gap_not_stable():
     a4 = standard_graph("A", 4)
-    v = decide_stability(a4, ("s1", "s3", "s4"))
-    assert v.status == "not_stable"
-    assert v.witness.kind == "permutation"
+    w = decide_stability(a4, ("s1", "s3", "s4"))
+    assert w is not None
+    assert w.kind == "permutation"
 
 
 def test_decide_e7_paper_subset():
@@ -322,7 +336,7 @@ def test_decide_e7_paper_subset():
     # return lands back on it, so the subgroup is stable
     e7 = standard_graph("E", 7)
     v = decide_stability(e7, ("s1", "s2", "s3", "s4", "s6"))
-    assert v.status in ("stable", "not_stable")  # decision must terminate
+    assert v is None or v.kind in ("permutation", "d2k_exception", "d4_exception")  # decision must terminate
     # determinism of repeated runs, witnesses included
     v2 = decide_stability(e7, ("s1", "s2", "s3", "s4", "s6"))
     assert v == v2
@@ -341,6 +355,12 @@ def test_decide_rejects_subset_cap_below_one(cap):
         decide_stability(a5, ["s1"], max_subset_size=cap)
     with pytest.raises(ValueError, match="at least 1"):
         decide_with_applicability(a5, ["s1"], max_subset_size=cap)
+    # a group outside every applicable family is rejected before it is
+    # classified, not answered "inapplicable"
+    square = build_graph("abcd", ("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", 4))
+    assert decide_with_applicability(square, ["a", "b"]).verdict == "inapplicable"
+    with pytest.raises(ValueError, match="at least 1"):
+        decide_with_applicability(square, ["a", "b"], max_subset_size=cap)
 
 
 # ------------------------------------------------------------ applicability

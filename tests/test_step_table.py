@@ -54,8 +54,8 @@ def sweep_text() -> str:
                 entry = {
                     "graph": name,
                     "subset": list(X),
-                    "verdict": v.status,
-                    "witness": None if v.witness is None else v.witness.to_json_dict(),
+                    "verdict": "stable" if v is None else "not_stable",
+                    "witness": None if v is None else v.to_json_dict(),
                 }
                 lines.append(json.dumps(entry, separators=(",", ":")))
     return "\n".join(lines) + "\n"
