@@ -12,7 +12,7 @@ The search keeps parent pointers; words are built only for reported states.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
@@ -245,18 +245,38 @@ def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     return OrbitTable(tuple((tw.names(Y), word) for Y, word in found.items()))
 
 
+def _twist_key(tw: MaskTwists, X: int) -> Counter:
+    """The multiset of the component types of mask X, a non-spherical
+    component entering as its own mask; subsets of one twist orbit share it.
+
+    A twist conjugates the component C of Y + t by its Garside element,
+    which acts on C as a diagram automorphism, and the other components of
+    Y are not adjacent to C; so it carries the labelled graph on Y onto the
+    one on its image, and conjugate standard parabolic subgroups have the
+    same component types (for spherical type, L. Paris, J. Algebra 196,
+    1997).  A non-spherical component lies in no twistable C: it never
+    moves."""
+    key: Counter = Counter()
+    for c in tw.components(X):
+        typed = tw.typed(c)
+        key[c if typed is None else (c.bit_count(), str(typed.type))] += 1
+    return key
+
+
 def conjugator(
     g: CoxeterGraph, X: Iterable[str], Xp: Iterable[str]
 ) -> ConjugatorWord | None:
     """A word conjugating the set X to Xp, or None when the two standard
-    parabolic subgroups are not conjugate.  Stops as soon as Xp is reached."""
+    parabolic subgroups are not conjugate.  Sets whose ``_twist_key``
+    differs are answered without a search; otherwise the search stops as
+    soon as Xp is reached."""
     Xs = g.subset(X)
     Xps = g.subset(Xp)
-    if len(Xs) != len(Xps):
-        return None
     if Xs == Xps:
         return ConjugatorWord()
     tw = MaskTwists(g)
-    target = tw.mask(Xps)
-    parents = bfs_closure(tw.mask(Xs), _mask_twists(tw), target)
+    start, target = tw.mask(Xs), tw.mask(Xps)
+    if _twist_key(tw, start) != _twist_key(tw, target):
+        return None
+    parents = bfs_closure(start, _mask_twists(tw), target)
     return word_to(parents, target) if target in parents else None

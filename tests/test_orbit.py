@@ -97,6 +97,19 @@ def test_conjugator_not_conjugate_between_distinct_singletons_in_b2():
     assert conjugator(b2, ("a",), ("b",)) is None
 
 
+def test_conjugator_none_when_component_types_differ():
+    # two triangles of type A~2: their types agree, so only the rule that a
+    # non-spherical component never moves tells them apart
+    triangles = build_graph(
+        "abcdef",
+        ("a", "b", 3), ("b", "c", 3), ("a", "c", 3),
+        ("d", "e", 3), ("e", "f", 3), ("d", "f", 3),
+    )
+    assert conjugator(triangles, ("a", "b", "c"), ("d", "e", "f")) is None
+    b3 = standard_graph("B", 3)
+    assert conjugator(b3, ("s1", "s2"), ("s2", "s3")) is None  # B2 against A2
+
+
 def test_orbit_json_shape():
     a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
     payload = orbit(a3, ("a",)).to_json_list()

@@ -1,4 +1,5 @@
-"""Property suite over randomized Coxeter graphs (up to six vertices)."""
+"""Property suite over randomized Coxeter graphs of up to ten vertices
+(five for the renaming test, which runs the 2^|X| stability decision)."""
 
 import json
 
@@ -26,11 +27,11 @@ from artinstab import (
 from conftest import rename_graph
 
 LABELS = (2, 3, 4, 5, INFINITY)
-NAMES = "abcdef"
+NAMES = "abcdefghij"
 
 
 @st.composite
-def graphs(draw, max_vertices=6):
+def graphs(draw, max_vertices=10):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     names = list(NAMES[:n])
     rels = []
@@ -43,7 +44,7 @@ def graphs(draw, max_vertices=6):
 
 
 @st.composite
-def graphs_with_subset(draw, max_vertices=6, nonempty=True):
+def graphs_with_subset(draw, max_vertices=10, nonempty=True):
     g = draw(graphs(max_vertices))
     k = draw(st.integers(min_value=1 if nonempty else 0, max_value=len(g.generators)))
     subset = draw(
@@ -96,6 +97,28 @@ def test_orbit_symmetry(gs):
     mine = set(orbit(g, X).subsets())
     for Y in mine:
         assert set(orbit(g, Y).subsets()) == mine
+
+
+def component_key(g, X):
+    """The sorted types of the spherical components of X and the sorted
+    vertex sets of its other components, from public calls only."""
+    spherical, other = [], []
+    for comp in components(g, X):
+        tc = recognize_component(g, comp)
+        if tc is None:
+            other.append(comp)
+        else:
+            spherical.append(str(tc.type))
+    return sorted(spherical), sorted(other)
+
+
+@given(graphs_with_subset())
+@settings(max_examples=60)
+def test_orbit_members_share_component_types(gs):
+    g, X = gs
+    key = component_key(g, X)
+    for Y in orbit(g, X).subsets():
+        assert component_key(g, Y) == key
 
 
 @given(graphs_with_subset())
