@@ -53,18 +53,25 @@ def _parse_subset(g: CoxeterGraph, raw: str):
     return g.subset(names)
 
 
-def _attach_letters(node, g: CoxeterGraph):
-    """Add expanded generator words to every delta factor in a JSON tree."""
-    if isinstance(node, dict):
-        out = {}
-        for key, value in node.items():
-            out[key] = _attach_letters(value, g)
-        if "delta_of" in node:
-            out["letters"] = expand_subset(g, node["delta_of"])
-        return out
-    if isinstance(node, list):
-        return [_attach_letters(item, g) for item in node]
-    return node
+def _attach_letters(tree, g: CoxeterGraph):
+    """Add expanded generator words to every delta factor in a JSON tree,
+    expanding each distinct subset once."""
+    expanded: dict[tuple[str, ...], list[str] | None] = {}
+
+    def attach(node):
+        if isinstance(node, dict):
+            out = {key: attach(value) for key, value in node.items()}
+            if "delta_of" in node:
+                V = tuple(node["delta_of"])
+                if V not in expanded:
+                    expanded[V] = expand_subset(g, V)
+                out["letters"] = expanded[V]
+            return out
+        if isinstance(node, list):
+            return [attach(item) for item in node]
+        return node
+
+    return attach(tree)
 
 
 def _word_text(word_json: list[dict]) -> str:

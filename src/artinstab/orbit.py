@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .classify import TypedComponent, _recognize_connected
@@ -62,28 +63,38 @@ class OrbitTable:
 State = TypeVar("State", bound=Hashable)
 
 # For each state in discovery order: (parent state, factor) of the first
-# path found to it, None for the start.
+# path found to it, None for a start.
 Parents = dict[State, tuple[State, TwistFactor] | None]
 
 
 def bfs_closure(
-    start: State,
-    successors: Callable[[State], Iterable[tuple[State, TwistFactor]]],
-    target: State | None = None,
+    starts: Iterable[State],
+    successors: Callable[[State, TwistFactor | None], Iterable[tuple[State, TwistFactor]]],
+    stop: Callable[[State], bool] | None = None,
 ) -> Parents:
-    """Breadth-first closure of start under successors, which yields
-    (next state, factor) pairs, as parent pointers; the search stops as
-    soon as target is discovered.  Words are built from the pointers only
-    for the states a caller reports, by ``word_to`` or ``words``."""
-    parents: Parents = {start: None}
-    queue: deque[State] = deque([start])
+    """Breadth-first closure of the start states under successors, which
+    yields (next state, factor) pairs, as parent pointers; every start has
+    parent None and comes first, in the given order.  Successors also get
+    the factor of the move that discovered the state, None for a start: a
+    twist is an involution, so the move with that same factor leads back
+    to the discoverer and may be left out.  The search stops at the first
+    state, a start or not, for which stop holds: the last one in the
+    result.  Words are built from the pointers only for the states a
+    caller reports, by ``word_to`` or ``words``."""
+    parents: Parents = {}
+    for Z in starts:
+        parents[Z] = None
+        if stop is not None and stop(Z):
+            return parents
+    queue: deque[State] = deque(parents)
     while queue:
         Y = queue.popleft()
-        for Z, factor in successors(Y):
+        step = parents[Y]
+        for Z, factor in successors(Y, None if step is None else step[1]):
             if Z in parents:
                 continue
             parents[Z] = Y, factor
-            if Z == target:
+            if stop is not None and stop(Z):
                 return parents
             queue.append(Z)
     return parents
@@ -135,8 +146,9 @@ MaskStep = tuple[int, int, Images, TwistFactor]
 class MaskTwists:
     """Twists of subsets written as int masks, bit i standing for
     ``g.generators[i]``, for one call: neighbour masks, each component
-    recognized once, its twist, and the twist steps of the unions a tuple
-    closure reaches.  Built per call and dropped with it."""
+    recognized once, its twist, and the twist steps at the border of each
+    component of the subsets a search reaches.  Built per call and dropped
+    with it."""
 
     def __init__(self, g: CoxeterGraph):
         self.g = g
@@ -149,8 +161,8 @@ class MaskTwists:
                 self.nbrs[self.index[t]] |= 1 << self.index[s]
         self.types: dict[int, TypedComponent | None] = {}
         self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
-        # union mask -> its steps, shared by every tuple closure of the call
-        self.unions: dict[int, list[MaskStep]] = {}
+        # component mask -> its border and its steps there (see ``_alone``)
+        self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
 
     def mask(self, names: Iterable[str]) -> int:
         return sum(1 << self.index[v] for v in names)
@@ -199,23 +211,62 @@ class MaskTwists:
         self.twists[comp] = twist
         return twist
 
+    def _step(self, tbit: int, comp: int) -> MaskStep | None:
+        """The step at t whose component of Y + t is comp, None when comp is
+        not twistable."""
+        twists = self.twists
+        twist = twists[comp] if comp in twists else self._recognize(comp)
+        return None if twist is None else (tbit, comp, *twist)
+
+    def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
+        """(the border of the component mask C, the steps at each border bit
+        t when t is adjacent to C alone, so that C + t is the component of
+        t), kept for the call."""
+        found = self.borders.get(C)
+        if found is None:
+            nbrs = self.nbrs
+            border = 0
+            for i in _bits(C):
+                border |= nbrs[i]
+            border &= ~C
+            steps = []
+            near = border
+            while near:
+                tbit = near & -near
+                near ^= tbit
+                step = self._step(tbit, C | tbit)
+                if step is not None:
+                    steps.append(step)
+            self.borders[C] = found = border, steps
+        return found
+
     def steps(self, Y: int) -> list[MaskStep]:
         """(bit of t, the component C of Y + t containing t, the twist of C)
         for each t adjacent to Y whose C is twistable, in increasing bit
-        order, the order of ``adjacent``."""
-        nbrs, twists = self.nbrs, self.twists
-        near = 0
-        for i in _bits(Y):
-            near |= nbrs[i]
-        out = []
-        near &= ~Y
-        while near:
-            tbit = near & -near
-            near ^= tbit
-            comp = self.flood(tbit, Y | tbit)
-            twist = twists[comp] if comp in twists else self._recognize(comp)
-            if twist is not None:
-                out.append((tbit, comp, *twist))
+        order, the order of ``adjacent``.  C is t plus the components of Y
+        adjacent to t: the steps at a t adjacent to one component alone come
+        from that component's list, and only the others are recognized
+        here.  The list may be shared: do not modify it."""
+        comps = self.components(Y)
+        parts = [self._alone(C) for C in comps]
+        if len(parts) == 1:
+            return parts[0][1]
+        seen = multi = 0
+        for border, _ in parts:
+            multi |= seen & border
+            seen |= border
+        out = [step for _, steps in parts for step in steps if not step[0] & multi]
+        while multi:
+            tbit = multi & -multi
+            multi ^= tbit
+            comp = tbit
+            for C, (border, _) in zip(comps, parts):
+                if border & tbit:
+                    comp |= C
+            step = self._step(tbit, comp)
+            if step is not None:
+                out.append(step)
+        out.sort(key=itemgetter(0))
         return out
 
 
@@ -227,13 +278,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_twists(tw: MaskTwists) -> Callable[[int], Iterator[tuple[int, TwistFactor]]]:
+def _mask_twists(
+    tw: MaskTwists,
+) -> Callable[[int, TwistFactor | None], list[tuple[int, TwistFactor]]]:
     """The elementary twist successors of subset masks: the component C of
-    Y + t containing t is replaced by C minus the image of t."""
+    Y + t containing t is replaced by C minus the image of t.  The step
+    whose factor is back, the twist of the same C, leads back to where Y
+    was found from."""
 
-    def successors(Y: int) -> Iterator[tuple[int, TwistFactor]]:
-        for tbit, comp, images, factor in tw.steps(Y):
-            yield (Y & ~comp) | (comp & ~images.perm[tbit]), factor
+    def successors(Y: int, back: TwistFactor | None) -> list[tuple[int, TwistFactor]]:
+        return [
+            ((Y & ~comp) | (comp & ~images.perm[tbit]), factor)
+            for tbit, comp, images, factor in tw.steps(Y)
+            if factor is not back
+        ]
 
     return successors
 
@@ -241,7 +299,7 @@ def _mask_twists(tw: MaskTwists) -> Callable[[int], Iterator[tuple[int, TwistFac
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
     tw = MaskTwists(g)
-    found = words(bfs_closure(tw.mask(g.subset(X)), _mask_twists(tw)))
+    found = words(bfs_closure([tw.mask(g.subset(X))], _mask_twists(tw)))
     return OrbitTable(tuple((tw.names(Y), word) for Y, word in found.items()))
 
 
@@ -278,5 +336,5 @@ def conjugator(
     start, target = tw.mask(Xs), tw.mask(Xps)
     if _twist_key(tw, start) != _twist_key(tw, target):
         return None
-    parents = bfs_closure(start, _mask_twists(tw), target)
+    parents = bfs_closure([start], _mask_twists(tw), target.__eq__)
     return word_to(parents, target) if target in parents else None

@@ -126,23 +126,82 @@ def tuple_twist(
 MaskTuple = tuple[int, ...]
 
 
+class Moves(dict):
+    """Union masks -> the twist steps of the union as (images, factor)
+    pairs, in three lists: the steps at a bit of inside, those at a bit
+    outside, and all of them in bit order.  Filled on first lookup and
+    shared by the tuple closures of one call."""
+
+    def __init__(self, tw: MaskTwists, inside: int):
+        super().__init__()
+        self.tw = tw
+        self.inside = inside
+
+    def __missing__(self, union: int) -> tuple[list, list, list]:
+        inner, outer, every = [], [], []
+        for tbit, _, images, factor in self.tw.steps(union):
+            move = images, factor
+            every.append(move)
+            (inner if tbit & self.inside else outer).append(move)
+        self[union] = found = inner, outer, every
+        return found
+
+
+INSIDE, OUTSIDE, EVERYWHERE = range(3)  # the lists of a ``Moves`` entry
+
+
+def _closure(
+    moves: Moves,
+    start: MaskTuple,
+    which: int,
+    stop: Callable[[MaskTuple], bool] | None = None,
+) -> Parents:
+    """The closure of a tuple of part masks under the moves of list which,
+    as parent pointers, up to the first tuple for which stop holds.  Every
+    part takes its image under the twisted component (parts outside it
+    stay); the move back, through the same component as the one that found
+    the tuple, is left out."""
+
+    def successors(T: MaskTuple, back: TwistFactor | None) -> list[tuple[MaskTuple, TwistFactor]]:
+        return [
+            (tuple(map(images.__getitem__, T)), factor)
+            for images, factor in moves[sum(T)][which]  # the parts are disjoint
+            if factor is not back
+        ]
+
+    return bfs_closure([start], successors, stop)
+
+
 def _tuple_closure(tw: MaskTwists, start: MaskTuple, allowed: int) -> Parents:
     """The closure of ``tuple_orbit`` on part masks under twists at the
-    bits of allowed, as parent pointers.  Every part takes its image under
-    the twisted component (parts outside it stay); the steps of each union
-    are kept in ``tw.unions`` for the rest of the call."""
-    unions = tw.unions
+    bits of allowed, as parent pointers."""
+    return _closure(Moves(tw, allowed), start, INSIDE)
 
-    def successors(T: MaskTuple):
-        union = sum(T)  # the parts are disjoint
-        found = unions.get(union)
-        if found is None:
-            unions[union] = found = tw.steps(union)
-        for tbit, _, images, factor in found:
-            if tbit & allowed:
-                yield tuple(map(images.__getitem__, T)), factor
 
-    return bfs_closure(start, successors)
+def _beyond(
+    moves: Moves, internal: Parents, stop: Callable[[MaskTuple], bool] | None = None
+) -> Parents:
+    """The states of the closure under all moves that internal, the closure
+    of one start under the moves inside, misses, up to the first one for
+    which stop holds.  A move inside keeps a state in internal, so they
+    are the closure of the images of internal under the moves outside,
+    each a start with parent None, under all moves that do not lead back
+    into internal."""
+    starts = [
+        Z
+        for T in internal
+        for images, _ in moves[sum(T)][OUTSIDE]
+        if (Z := tuple(map(images.__getitem__, T))) not in internal
+    ]
+
+    def successors(T: MaskTuple, back: TwistFactor | None) -> list[tuple[MaskTuple, TwistFactor]]:
+        return [
+            (Z, factor)
+            for images, factor in moves[sum(T)][EVERYWHERE]
+            if factor is not back and (Z := tuple(map(images.__getitem__, T))) not in internal
+        ]
+
+    return bfs_closure(starts, successors, stop)
 
 
 def tuple_orbit(
@@ -259,11 +318,17 @@ def decide_stability(
     under all twists against the closure under twists inside X.  Returns
     the witness of the first obstruction found, or None when there is none
     and the subgroup is stable.  All three scans run on subset masks and
-    share one ``MaskTwists``: each component is recognized once and each
-    union's twist steps are listed once per call, and all of it is dropped
-    on return.  The closures run on component tuples of part masks, and
-    only the witness gets its word.  A max_subset_size below 1 is a
-    ValueError.
+    share one ``MaskTwists``: each component is recognized once and its
+    border steps are listed once per call, and all of it is dropped on
+    return.  The closures run on component tuples of part masks, with the
+    twist steps of each union listed once per call (``Moves``).  For a
+    subset X1, the internal closure I is built first.  A twist inside X
+    keeps a tuple in I, so the external closure is I plus what grows from
+    the images of I under twists outside X; that growth stops at its first
+    tuple inside X, and X1 fails exactly when there is one.  Only then is
+    the plain external closure built, up to its first tuple inside X and
+    not in I: the witness, with the tuple and word a full build gives.  A
+    max_subset_size below 1 is a ValueError.
     """
     if max_subset_size < 1:
         raise ValueError(f"max_subset_size must be at least 1, got {max_subset_size}")
@@ -287,19 +352,26 @@ def decide_stability(
                         kind, tw.names(T), component=tc.positions, leaf=leaf, attach=attach
                     )
 
-    everywhere = (1 << len(g.generators)) - 1
+    outside = ((1 << len(g.generators)) - 1) & ~inside
+
+    def within(T: MaskTuple) -> bool:
+        return not sum(T) & outside
+
+    moves = Moves(tw, inside)
     for X1 in _subsets_descending(bits):
         start = tw.components(X1)
-        internal = _tuple_closure(tw, start, inside)
-        external = _tuple_closure(tw, start, everywhere)
-        for T in external:
-            if T not in internal and all(P & inside == P for P in T):
-                return Witness(
-                    "permutation",
-                    subset=tw.names(X1),
-                    tuple=tuple(tw.names(P) for P in T),
-                    word=word_to(external, T),
-                )
+        internal = _closure(moves, start, INSIDE)
+        beyond = _beyond(moves, internal, within)
+        if not (beyond and within(next(reversed(beyond)))):
+            continue
+        external = _closure(moves, start, EVERYWHERE, lambda T: T not in internal and within(T))
+        T = next(reversed(external))
+        return Witness(
+            "permutation",
+            subset=tw.names(X1),
+            tuple=tuple(tw.names(P) for P in T),
+            word=word_to(external, T),
+        )
     return None
 
 

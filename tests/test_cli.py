@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from artinstab import expand_subset, orbit, standard_graph, to_json_dict
 from artinstab.cli import main
 
 E7 = {
@@ -165,6 +166,31 @@ def test_conjugate_expand_words(capsys, e7_file):
     assert len(letters[0]) == 36  # length of the longest element of E6
     assert len(letters[1]) == 15  # length of the longest element of A5
     assert set(letters[1]) == {"s1", "s4", "s5", "s6", "s7"}
+
+
+def test_orbit_expand_words_equals_per_factor_expansion(capsys, tmp_path):
+    g = standard_graph("A", 12)
+    path = tmp_path / "a12.json"
+    path.write_text(json.dumps(to_json_dict(g)))
+    code, out, _ = run(
+        capsys,
+        "orbit",
+        "--graph",
+        str(path),
+        "--subset",
+        "s1,s3,s5",
+        "--expand-words",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    want = orbit(g, ["s1", "s3", "s5"]).to_json_list()
+    factors = [f for entry in want for f in entry["word"]]
+    for f in factors:
+        f["letters"] = expand_subset(g, f["delta_of"])
+    assert out == json.dumps(want, indent=2, ensure_ascii=False) + "\n"
+    # the expansion is shared: far fewer distinct subsets than factors
+    assert len({tuple(f["delta_of"]) for f in factors}) * 10 < len(factors)
 
 
 def test_stability_json_and_exit_codes(capsys, e7_file, square_file):

@@ -8,13 +8,15 @@ common: their subsets have many D_4, D_2k and odd-D components.  Every
 (X, Y, D component) site is checked with the public
 ``check_d2k_exception``/``check_d4_exception``, and on the trees of at
 most 8 vertices every X gets its ``decide_stability`` verdict and witness
-JSON compared with the reference decision.
+JSON compared with the reference decision.  So does every X of the 150
+small random graphs of ``test_step_table.reference_cases``, not only
+trees: their labels 4, 5 and infinity and their cycles reach other types.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 from artinstab import (
     INFINITY,
@@ -27,6 +29,8 @@ from artinstab import (
     recognize_component,
     tuple_orbit,
 )
+
+from test_step_table import reference_cases
 
 
 def random_tree(rng: random.Random) -> CoxeterGraph:
@@ -191,3 +195,16 @@ def test_decisions_equal_name_tuple_reference_for_every_x():
             kind = "stable" if got is None else got["kind"]
             kinds[kind] = kinds.get(kind, 0) + 1
     assert set(kinds) == {"stable", "permutation", "d2k_exception", "d4_exception"}, kinds
+
+
+def test_decisions_equal_name_tuple_reference_on_small_random_graphs():
+    kinds: dict[str, int] = {}
+    for g, _ in islice(reference_cases(), 150):
+        ref = Reference(g)
+        for X in subsets_descending(g.generators):
+            witness = decide_stability(g, X)
+            got = None if witness is None else witness.to_json_dict()
+            assert got == ref.decision(X), (g, X)
+            kind = "stable" if got is None else got["kind"]
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("permutation", 0) > 100 and kinds.get("stable", 0) > 1000, kinds

@@ -7,6 +7,10 @@
 * The mask closures the decision builds, with one ``MaskTwists`` shared by
   all subsets and names converted at the boundary, must equal, keys, words
   and order, a closure built only from the public ``tuple_twist``.
+* The decision's external closure, grown from the internal one, must hold
+  the states of the plain closure under all twists.
+* ``MaskTwists.steps``, which derives the steps of a subset from those of
+  its components, must equal one flood per neighbour of the subset.
 """
 
 from __future__ import annotations
@@ -20,14 +24,18 @@ from pathlib import Path
 
 from artinstab import (
     ConjugatorWord,
+    TwistFactor,
     adjacent,
     decide_stability,
+    delta_automorphism,
     initial_tuple,
+    is_twistable,
+    recognize_component,
     standard_graph,
     tuple_twist,
 )
 from artinstab.orbit import MaskTwists, words
-from artinstab.stability import _tuple_closure
+from artinstab.stability import INSIDE, Moves, _beyond, _closure, _tuple_closure
 
 from conftest import random_graph, random_subset, rename_graph
 
@@ -132,6 +140,62 @@ def test_shared_step_table_closures_equal_tuple_twist_reference():
                     assert list(got.items()) == list(want.items()), (g, X, X1)
                     compared += 1
     assert compared > 5000
+
+
+def test_internal_closure_and_its_beyond_make_the_external_closure():
+    compared = failing = 0
+    for g, X in reference_cases():
+        tw = MaskTwists(g)
+        inside = tw.mask(X)
+        everywhere = (1 << len(g.generators)) - 1
+        moves = Moves(tw, inside)  # shared by every subset, as in the decision
+        for r in range(len(X), 0, -1):
+            for X1 in combinations(X, r):
+                start = tw.components(tw.mask(X1))
+                internal = _closure(moves, start, INSIDE)
+                assert list(internal.items()) == list(_tuple_closure(tw, start, inside).items())
+                beyond = _beyond(moves, internal)
+                external = _tuple_closure(tw, start, everywhere)
+                assert not beyond.keys() & internal.keys(), (g, X, X1)
+                assert beyond.keys() | internal.keys() == external.keys(), (g, X, X1)
+                failing += any(sum(T) & ~inside == 0 for T in beyond)
+                compared += 1
+    assert compared > 3500 and failing > 200, (compared, failing)
+
+
+def flood_steps(tw, Y):
+    """(bit of t, component of Y + t containing t, its permutation of bits,
+    its factor) for each twistable neighbour t of Y in increasing bit
+    order, with one flood within Y + t per t and public recognition."""
+    near = 0
+    for i in range(len(tw.gens)):
+        if Y >> i & 1:
+            near |= tw.nbrs[i]
+    out = []
+    for i in range(len(tw.gens)):
+        tbit = 1 << i
+        if near & tbit and not Y & tbit:
+            comp = tw.flood(tbit, Y | tbit)
+            tc = recognize_component(tw.g, tw.names(comp))
+            if tc is not None and is_twistable(tc):
+                bit = {v: 1 << tw.index[v] for v in tc.vertices}
+                perm = {bit[v]: bit[w] for v, w in delta_automorphism(tc).items()}
+                out.append((tbit, comp, perm, TwistFactor(tc.vertices, 1)))
+    return out
+
+
+def test_steps_from_components_equal_one_flood_per_neighbour():
+    rng = random.Random(0x57E95)
+    shared = 0  # steps at a vertex adjacent to two or more components of Y
+    for _ in range(30):
+        g = random_graph(rng, max_vertices=10, min_vertices=7)
+        tw = MaskTwists(g)  # one set of tables for every subset
+        for Y in range(1 << len(g.generators)):
+            got = [(t, comp, images.perm, factor) for t, comp, images, factor in tw.steps(Y)]
+            assert got == flood_steps(tw, Y), (g, tw.names(Y))
+            for t, comp, _, _ in got:
+                shared += sum(1 for c in tw.components(Y) if c & comp) >= 2
+    assert shared > 400, shared
 
 
 if __name__ == "__main__":
