@@ -11,16 +11,16 @@ positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .graph import (
     INFINITY,
     CoxeterGraph,
+    MaskTable,
     VertexSet,
-    components,
+    _bits,
     _pair,
+    components,
 )
 
 
@@ -243,49 +243,64 @@ class GroupFamilyReport:
         }
 
 
-def _maximal_cliques(vertices: VertexSet, nbrs: dict[str, set[str]]) -> Iterator[set[str]]:
-    """Yield each maximal clique once: Bron–Kerbosch with Tomita pivoting.
+def _maximal_cliques(vertices: int, nbrs: list[int]) -> Iterator[int]:
+    """Yield each maximal clique mask once: Bron–Kerbosch with Tomita pivoting.
 
     A branch (r, p, x) grows clique r from candidates p, with x the vertices
     already covered.  The pivot u in p | x with the most neighbours in p
     leaves only p - N(u) to branch on, which bounds the work by O(3^{n/3})
     (Tomita, Tanaka and Takahashi, Theor. Comput. Sci. 363, 2006).
     """
-    stack = [(set(), set(vertices), set())]
+    stack = [(0, vertices, 0)]
     while stack:
         r, p, x = stack.pop()
         if not p:
             if not x:
                 yield r
             continue
-        u = min(p | x, key=lambda w: (-len(p & nbrs[w]), w))
-        for v in sorted(p - nbrs[u]):
-            stack.append((r | {v}, p & nbrs[v], x & nbrs[v]))
-            p = p - {v}
-            x = x | {v}
+        u = min(_bits(p | x), key=lambda w: (-(p & nbrs[w]).bit_count(), w))
+        for v in _bits(p & ~nbrs[u]):
+            bit = 1 << v
+            stack.append((r | bit, p & nbrs[v], x & nbrs[v]))
+            p &= ~bit
+            x |= bit
 
 
-def _affine_family(g: CoxeterGraph) -> str | None:
-    S = g.generators
-    n = len(S)
-    if n < 3:
+def _two_dimensional(fin: list[int], finite: list[dict[int, int]]) -> bool:
+    """Whether 1/a + 1/b + 1/c <= 1, as bc + ac + ab <= abc, for the labels
+    of every triple.  One infinite label passes (1/m1 + 1/m2 <= 1), so only
+    triples joined pairwise in the finite-label masks fin are tested;
+    finite[i] maps j to its label m >= 3, a missing j reading 2."""
+    for i, fin_i in enumerate(fin):
+        above = fin_i & -(2 << i)
+        for j in _bits(above):
+            a = finite[i].get(j, 2)
+            for k in _bits(above & fin[j] & -(2 << j)):
+                b, c = finite[i].get(k, 2), finite[j].get(k, 2)
+                if b * c + a * c + a * b > a * b * c:
+                    return False
+    return True
+
+
+def _affine_family(table: MaskTable) -> str | None:
+    """A~n for a cycle of label-3 edges, C~n for a path labelled
+    4, 3, ..., 3, 4; None otherwise."""
+    g, nbrs = table.g, table.nbrs
+    n = len(nbrs)
+    full = (1 << n) - 1
+    if n < 3 or table.flood(1, full) != full:
         return None
-    deg = {
-        v: sum(1 for w in S if w != v and g.has_edge(v, w))
-        for v in S
-    }
-    edges = [(s, t) for i, s in enumerate(S) for t in S[i + 1 :] if g.has_edge(s, t)]
-    if components(g, S) != [S]:
-        return None
-    if all(deg[v] == 2 for v in S) and len(edges) == n:
-        if all(g.label(s, t) == 3 for s, t in edges):
-            return f"A~{n - 1}"
-        return None
-    leaves = [v for v in S if deg[v] == 1]
-    if len(leaves) == 2 and all(deg[v] == 2 for v in S if v not in leaves):
-        adj = {v: [w for w in S if w != v and g.has_edge(v, w)] for v in S}
-        seq = _path_order(adj, sorted(leaves)[0], n)
-        lseq = [g.label(seq[i], seq[i + 1]) for i in range(n - 1)]
+    deg = [mask.bit_count() for mask in nbrs]
+    if all(d == 2 for d in deg):
+        return f"A~{n - 1}" if all(m == 3 for m in g.labels.values()) else None
+    leaves = [i for i, d in enumerate(deg) if d == 1]
+    if len(leaves) == 2 and deg.count(2) == n - 2:
+        path, prev = [leaves[0]], 0
+        while len(path) < n:
+            here = path[-1]
+            path.append((nbrs[here] & ~prev).bit_length() - 1)
+            prev = 1 << here
+        lseq = [g.label(table.gens[a], table.gens[b]) for a, b in zip(path, path[1:])]
         if lseq[0] == 4 and lseq[-1] == 4 and all(m == 3 for m in lseq[1:-1]):
             return f"C~{n - 1}"
     return None
@@ -296,43 +311,57 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
 
     FullStability means the stability decision applies as stated; for an
     FC-type group outside those families the decision has quasi-stability
-    semantics; anything else is reported Unknown.
+    semantics; anything else is reported Unknown.  Runs on the mask table
+    of g, recognizing each component once.
     """
-    S = g.generators
-    spherical = is_spherical(g, S)
+    table = MaskTable(g)
+    n = len(table.gens)
+    full = (1 << n) - 1
+    # the finite-label masks (m = 2 included) and the finite labels m >= 3
+    fin = [full & ~(1 << i) for i in range(n)]
+    finite: list[dict[int, int]] = [{} for _ in range(n)]
+    for (s, t), m in g.labels.items():
+        i, j = table.index[s], table.index[t]
+        if m == INFINITY:
+            fin[i] &= ~(1 << j)
+            fin[j] &= ~(1 << i)
+        else:
+            finite[i][j] = finite[j][i] = m
 
-    # the graph whose edges are the pairs with a finite label (m = 2 included)
-    fin_nbrs = {
-        v: {w for w in S if w != v and g.label(v, w) != INFINITY} for v in S
-    }
+    types: dict[int, TypedComponent | None] = {}
+
+    def decomposition(X: int) -> list[TypedComponent] | None:
+        """Typed components of mask X, None when one is not spherical."""
+        out = []
+        for comp in table.components(X):
+            if comp not in types:
+                types[comp] = _recognize_connected(g, table.names(comp))
+            if types[comp] is None:
+                return None
+            out.append(types[comp])
+        return out
+
+    spherical = decomposition(full) is not None
     fc_type = all(
-        is_spherical(g, clique) for clique in _maximal_cliques(S, fin_nbrs)
+        decomposition(clique) is not None for clique in _maximal_cliques(full, fin)
     )
 
-    factor_sets = components(g, S, lambda v, w: w in fin_nbrs[v])
-    factor_decomps = [spherical_decomposition(g, f) for f in factor_sets]
+    factor_masks = table.components(full, fin)
+    factor_decomps = [decomposition(f) for f in factor_masks]
     free_product = all(d is not None for d in factor_decomps)
     free_factors = None
     if free_product:
         free_factors = tuple(
-            (fset, tuple(str(tc.type) for tc in dec))
-            for fset, dec in zip(factor_sets, factor_decomps)
+            (table.names(f), tuple(str(tc.type) for tc in dec))
+            for f, dec in zip(factor_masks, factor_decomps)
         )
 
-    n = len(S)
     large = len(g.labels) == n * (n - 1) // 2 and all(m != 2 for m in g.labels.values())
-    two_dimensional = all(
-        sum(
-            (Fraction(0) if g.label(a, b) == INFINITY else Fraction(1, int(g.label(a, b))))
-            for a, b in combinations(triple, 2)
-        )
-        <= 1
-        for triple in combinations(S, 3)
-    )
+    two_dimensional = _two_dimensional(fin, finite)
     martin = two_dimensional and all(
-        sum(1 for w in S if w != v and g.label(v, w) == 2) <= 1 for v in S
+        (full & ~(1 << i) & ~mask).bit_count() <= 1 for i, mask in enumerate(table.nbrs)
     )
-    affine = _affine_family(g)
+    affine = _affine_family(table)
 
     if spherical:
         applicability, why = "FullStability", "the whole group is of spherical type"

@@ -242,12 +242,53 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _add_common(sub, graph_required=True):
-    sub.add_argument("--graph", required=graph_required, help="path to the graph JSON file")
-    sub.add_argument("--format", choices=("json", "text"), default="text")
+_GRAPH = ("--graph", {"required": True, "help": "path to the graph JSON file"})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+_COMMON = (_GRAPH, _FORMAT)
+_SUBSET = ("--subset", {"required": True})
+_EXPAND = ("--expand-words", {"action": "store_true"})
+
+# name -> (help, handler, arguments in the order of the help text)
+_COMMANDS = {
+    "validate": ("parse a graph file and echo the normalized graph", _cmd_validate, _COMMON),
+    "classify": ("report the group-family classification", _cmd_classify, _COMMON),
+    "type": (
+        "spherical-type decomposition of a subset",
+        _cmd_type,
+        (*_COMMON, ("--subset", {"required": True, "help": "comma-separated generators"})),
+    ),
+    "orbit": (
+        "twist closure of a subset with witness words", _cmd_orbit, (*_COMMON, _SUBSET, _EXPAND)
+    ),
+    "conjugate": (
+        "find a conjugating word between two subsets",
+        _cmd_conjugate,
+        (*_COMMON, _SUBSET, ("--target", {"required": True}), _EXPAND),
+    ),
+    "stability": (
+        "decide conjugacy stability of a subset",
+        _cmd_stability,
+        (
+            *_COMMON,
+            _SUBSET,
+            ("--mode", {"choices": ("auto", "force"), "default": "auto"}),
+            _EXPAND,
+            ("--max-subset-size", {"type": _positive_int, "default": 16}),
+        ),
+    ),
+    "export-dot": ("render the graph in DOT format", _cmd_export_dot, _COMMON),
+    "oracle-check": (
+        "cross-verify diagram reflections against the Weyl-group oracle",
+        _cmd_oracle_check,
+        (("--graph", {"help": "path to the graph JSON file"}), _FORMAT),
+    ),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command alone, or of every
+    subcommand when command is None.  With one subparser the metavar still
+    lists every name, so the top-level usage reads the same."""
     parser = argparse.ArgumentParser(
         prog="artinstab",
         description=(
@@ -255,58 +296,22 @@ def _build_parser() -> argparse.ArgumentParser:
             "subgroups of Artin groups given by a Coxeter graph."
         ),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="parse a graph file and echo the normalized graph")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = subs.add_parser("classify", help="report the group-family classification")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = subs.add_parser("type", help="spherical-type decomposition of a subset")
-    _add_common(p)
-    p.add_argument("--subset", required=True, help="comma-separated generators")
-    p.set_defaults(handler=_cmd_type)
-
-    p = subs.add_parser("orbit", help="twist closure of a subset with witness words")
-    _add_common(p)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--expand-words", action="store_true")
-    p.set_defaults(handler=_cmd_orbit)
-
-    p = subs.add_parser("conjugate", help="find a conjugating word between two subsets")
-    _add_common(p)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--expand-words", action="store_true")
-    p.set_defaults(handler=_cmd_conjugate)
-
-    p = subs.add_parser("stability", help="decide conjugacy stability of a subset")
-    _add_common(p)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--mode", choices=("auto", "force"), default="auto")
-    p.add_argument("--expand-words", action="store_true")
-    p.add_argument("--max-subset-size", type=_positive_int, default=16)
-    p.set_defaults(handler=_cmd_stability)
-
-    p = subs.add_parser("export-dot", help="render the graph in DOT format")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_export_dot)
-
-    p = subs.add_parser(
-        "oracle-check",
-        help="cross-verify diagram reflections against the Weyl-group oracle",
-    )
-    _add_common(p, graph_required=False)
-    p.set_defaults(handler=_cmd_oracle_check)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, handler, arguments = _COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named subparser; -h, no command or an unknown one get them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 INFINITY: float = float("inf")
 
@@ -182,30 +182,66 @@ def induced(g: CoxeterGraph, X: Iterable[str]) -> CoxeterGraph:
     return CoxeterGraph(Xs, labels)
 
 
-def components(
-    g: CoxeterGraph, X: Iterable[str], linked: Callable[[str, str], bool] | None = None
-) -> list[VertexSet]:
-    """Connected components of the induced graph on X, sorted by minimal
-    vertex.  Vertices are joined by edges, or by ``linked`` when given."""
-    linked = linked or g.has_edge
-    Xs = g.subset(X)
-    remaining = set(Xs)
-    out: list[VertexSet] = []
-    for start in Xs:
-        if start not in remaining:
-            continue
-        comp = {start}
-        frontier = [start]
-        remaining.discard(start)
+class MaskTable:
+    """Subsets of one graph written as int masks, bit i standing for
+    ``g.generators[i]``: each vertex's neighbour mask (m >= 3), the
+    conversions to and from names, and components by flooding.  Built per
+    call and dropped with it."""
+
+    def __init__(self, g: CoxeterGraph):
+        self.g = g
+        self.gens = g.generators
+        self.index = {v: i for i, v in enumerate(self.gens)}
+        self.nbrs = [0] * len(self.gens)
+        for (s, t), m in g.labels.items():
+            if m >= 3:
+                self.nbrs[self.index[s]] |= 1 << self.index[t]
+                self.nbrs[self.index[t]] |= 1 << self.index[s]
+
+    def mask(self, names: Iterable[str]) -> int:
+        return sum(1 << self.index[v] for v in names)
+
+    def names(self, mask: int) -> VertexSet:
+        return tuple(self.gens[i] for i in _bits(mask))
+
+    def flood(self, seed: int, within: int, nbrs: list[int] | None = None) -> int:
+        """The component of ``within`` containing the bits of seed, joined
+        by edges, or by the neighbour masks nbrs when given."""
+        if nbrs is None:
+            nbrs = self.nbrs
+        comp = frontier = seed
         while frontier:
-            v = frontier.pop()
-            for w in sorted(remaining):
-                if linked(v, w):
-                    comp.add(w)
-                    remaining.discard(w)
-                    frontier.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & within & ~comp
+            comp |= frontier
+        return comp
+
+    def components(self, X: int, nbrs: list[int] | None = None) -> tuple[int, ...]:
+        """The components of X, ordered by lowest bit, joined as in ``flood``."""
+        out = []
+        while X:
+            comp = self.flood(X & -X, X, nbrs)
+            out.append(comp)
+            X &= ~comp
+        return tuple(out)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bit positions of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def components(g: CoxeterGraph, X: Iterable[str]) -> list[VertexSet]:
+    """Connected components of the induced graph on X, sorted by least vertex."""
+    table = MaskTable(g)
+    return [table.names(c) for c in table.components(table.mask(g.subset(X)))]
 
 
 def adjacent(g: CoxeterGraph, X: Iterable[str]) -> VertexSet:

@@ -49,18 +49,6 @@ class DihedralElement:
     word: tuple[int, ...]
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _column(m: Matrix, j: int) -> Vector:
     return tuple(row[j] for row in m)
 
@@ -139,18 +127,25 @@ def _is_positive(v: Vector) -> bool:
 
 
 def _crystallographic_longest(t) -> WeylElement:
-    refl = _reflection_matrices(t)
+    """Greedy descent: right-multiply by the first s_i whose column is
+    positive until none is.  Right-multiplying by s_i subtracts A_ij times
+    column i from each column j (A the Cartan matrix), so the product is
+    kept as columns and each letter costs O(n^2)."""
+    cartan = _cartan_matrix(t)
     n = t.rank
-    m = _identity(n)
+    cols = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
     word: list[int] = []
     while True:
         for i in range(n):
-            if _is_positive(_column(m, i)):
-                m = _matmul(m, refl[i])
+            if _is_positive(cols[i]):
+                ci = cols[i]
+                for j, a in enumerate(cartan[i]):
+                    if a:
+                        cols[j] = [x - a * y for x, y in zip(cols[j], ci)]
                 word.append(i + 1)
                 break
         else:
-            return WeylElement(m, tuple(word))
+            return WeylElement(tuple(zip(*cols)), tuple(word))
 
 
 def _dihedral_mul(m: int, a: tuple[int, bool], b: tuple[int, bool]) -> tuple[int, bool]:

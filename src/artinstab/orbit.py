@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .classify import TypedComponent, _recognize_connected
-from .graph import CoxeterGraph, VertexSet
+from .graph import CoxeterGraph, MaskTable, VertexSet, _bits
 from .twist import ConjugatorWord, TwistFactor, _garside_twist
 
 
@@ -143,55 +143,18 @@ class Images(dict):
 MaskStep = tuple[int, int, Images, TwistFactor]
 
 
-class MaskTwists:
-    """Twists of subsets written as int masks, bit i standing for
-    ``g.generators[i]``, for one call: neighbour masks, each component
-    recognized once, its twist, and the twist steps at the border of each
-    component of the subsets a search reaches.  Built per call and dropped
-    with it."""
+class MaskTwists(MaskTable):
+    """Twists of subsets written as int masks, for one call: the mask table
+    of the graph, each component recognized once, its twist, and the twist
+    steps at the border of each component of the subsets a search reaches.
+    Built per call and dropped with it."""
 
     def __init__(self, g: CoxeterGraph):
-        self.g = g
-        self.gens = g.generators
-        self.index = {v: i for i, v in enumerate(self.gens)}
-        self.nbrs = [0] * len(self.gens)
-        for (s, t), m in g.labels.items():
-            if m >= 3:
-                self.nbrs[self.index[s]] |= 1 << self.index[t]
-                self.nbrs[self.index[t]] |= 1 << self.index[s]
+        super().__init__(g)
         self.types: dict[int, TypedComponent | None] = {}
         self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
         # component mask -> its border and its steps there (see ``_alone``)
         self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
-
-    def mask(self, names: Iterable[str]) -> int:
-        return sum(1 << self.index[v] for v in names)
-
-    def names(self, mask: int) -> VertexSet:
-        return tuple(self.gens[i] for i in _bits(mask))
-
-    def flood(self, seed: int, within: int) -> int:
-        """The component of ``within`` containing the bits of seed."""
-        nbrs = self.nbrs
-        comp = frontier = seed
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= nbrs[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & within & ~comp
-            comp |= frontier
-        return comp
-
-    def components(self, X: int) -> tuple[int, ...]:
-        """The components of X, ordered by lowest bit."""
-        out = []
-        while X:
-            comp = self.flood(X & -X, X)
-            out.append(comp)
-            X &= ~comp
-        return tuple(out)
 
     def typed(self, comp: int) -> TypedComponent | None:
         """The recognized type of a component mask, kept for the call.  The
@@ -268,14 +231,6 @@ class MaskTwists:
                 out.append(step)
         out.sort(key=itemgetter(0))
         return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bit positions of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mask_twists(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
@@ -475,7 +476,12 @@ def test_maximal_cliques_agree_with_networkx():
         h = nx.Graph()
         h.add_nodes_from(names)
         h.add_edges_from((a, b) for a in names for b in nbrs[a])
-        got = [frozenset(c) for c in _maximal_cliques(names, nbrs)]
+        bit = {v: 1 << i for i, v in enumerate(names)}
+        masks = [sum(bit[w] for w in nbrs[v]) for v in names]
+        got = [
+            frozenset(v for v in names if clique & bit[v])
+            for clique in _maximal_cliques((1 << len(names)) - 1, masks)
+        ]
         assert len(got) == len(set(got))  # each clique exactly once
         assert set(got) == {frozenset(c) for c in nx.find_cliques(h)}
 
@@ -543,3 +549,176 @@ def test_classify_rank_40(first, last, closing, spherical, fc_type, affine, appl
         affine,
         applicability,
     )
+
+
+# ------------------------------------------------ reference classification
+
+
+def _plain_components(vertices, joined):
+    """Components of the names under the predicate joined, by a plain
+    name-keyed search, each sorted and ordered by its least name."""
+    remaining = set(vertices)
+    out = []
+    for start in sorted(vertices):
+        if start not in remaining:
+            continue
+        remaining.discard(start)
+        comp, frontier = {start}, [start]
+        while frontier:
+            v = frontier.pop()
+            for w in [w for w in remaining if joined(v, w)]:
+                remaining.discard(w)
+                comp.add(w)
+                frontier.append(w)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def _plain_types(g, X):
+    """Type names of the components of X, or None when one is not spherical."""
+    out = []
+    for comp in _plain_components(X, g.has_edge):
+        tc = recognize_component(g, comp)
+        if tc is None:
+            return None
+        out.append(str(tc.type))
+    return out
+
+
+def _plain_affine(g):
+    S = g.generators
+    h = _as_nx(g, S)
+    if len(S) < 3 or not nx.is_connected(h):
+        return None
+    deg = dict(h.degree())
+    labels = [m for _, _, m in h.edges(data="m")]
+    if all(d == 2 for d in deg.values()):
+        return f"A~{len(S) - 1}" if all(m == 3 for m in labels) else None
+    leaves = sorted(v for v, d in deg.items() if d == 1)
+    if len(leaves) == 2 and all(d <= 2 for d in deg.values()):
+        path = nx.shortest_path(h, leaves[0], leaves[1])
+        lseq = [h.edges[a, b]["m"] for a, b in zip(path, path[1:])]
+        if lseq[0] == lseq[-1] == 4 and all(m == 3 for m in lseq[1:-1]):
+            return f"C~{len(S) - 1}"
+    return None
+
+
+def _plain_classification(g):
+    """Every field of ``classify_group(g).to_json_dict()`` from the plain
+    definitions: Fraction sums over all triples, components by a name-keyed
+    search, maximal cliques from networkx."""
+    S = g.generators
+
+    def finite(s, t):
+        return g.label(s, t) != INFINITY
+
+    spherical = _plain_types(g, S) is not None
+    h = nx.Graph()
+    h.add_nodes_from(S)
+    h.add_edges_from((s, t) for s, t in combinations(S, 2) if finite(s, t))
+    fc_type = all(_plain_types(g, tuple(sorted(c))) is not None for c in nx.find_cliques(h))
+    factors = _plain_components(S, finite)
+    factor_types = [_plain_types(g, f) for f in factors]
+    free = all(types is not None for types in factor_types)
+    large = all(g.label(s, t) != 2 for s, t in combinations(S, 2))
+    two_dim = all(
+        sum(
+            Fraction(0) if g.label(a, b) == INFINITY else Fraction(1, g.label(a, b))
+            for a, b in combinations(triple, 2)
+        )
+        <= 1
+        for triple in combinations(S, 3)
+    )
+    martin = two_dim and all(
+        sum(1 for w in S if w != v and g.label(v, w) == 2) <= 1 for v in S
+    )
+    affine = _plain_affine(g)
+    if spherical:
+        applicability, why = "FullStability", "the whole group is of spherical type"
+    elif free:
+        applicability, why = (
+            "FullStability",
+            "the group is a free product of spherical-type factors",
+        )
+    elif martin:
+        applicability, why = (
+            "FullStability",
+            "two-dimensional with every vertex commuting with at most one "
+            "other (commuting read as m = 2)",
+        )
+    elif affine is not None:
+        applicability, why = "FullStability", f"Euclidean group of type {affine}"
+    elif fc_type:
+        applicability, why = (
+            "QuasiStability",
+            "FC-type group: verdicts carry quasi-stability semantics",
+        )
+    else:
+        applicability, why = "Unknown", "hypotheses unknown for this family"
+    return {
+        "spherical": spherical,
+        "fc_type": fc_type,
+        "free_product_of_spherical": free,
+        "free_factors": (
+            [{"generators": list(f), "types": t} for f, t in zip(factors, factor_types)]
+            if free
+            else None
+        ),
+        "large": large,
+        "two_dimensional": two_dim,
+        "martin_2dim_condition": martin,
+        "affine_family": affine,
+        "applicability": applicability,
+        "justification": why,
+    }
+
+
+def _structured_graphs():
+    """Cycles and paths near the affine and two-dimensional boundaries."""
+    for n in range(3, 11):
+        names = [f"v{i}" for i in range(n)]
+        path = [(names[i], names[i + 1], 3) for i in range(n - 1)]
+        yield build_graph(names, *path, (names[-1], names[0], 3))  # A~
+        yield build_graph(names, *path, (names[-1], names[0], 4))
+        ends = [(names[0], names[1], 4), *path[1:-1], (names[-2], names[-1], 4)]
+        yield build_graph(names, *ends)  # C~ (B2 + B2 at n = 3)
+        yield build_graph(names, *ends[:-1], (names[-2], names[-1], INFINITY))
+        yield build_graph(names, *path)  # A_n
+
+
+def test_classification_matches_plain_definitions():
+    rng = random.Random(20261018)
+    labels = (3, 4, 5, 6, 7, INFINITY)
+    graphs = list(_structured_graphs())
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        names = [f"s{i}" for i in range(n)]
+        commuting = rng.uniform(0.2, 0.95)  # per graph, so each flag takes both values
+        rels = [
+            (a, b, rng.choice(labels))
+            for a, b in combinations(names, 2)
+            if rng.random() >= commuting
+        ]
+        graphs.append(build_graph(names, *rels))
+    seen = {}
+    for g in graphs:
+        got = classify_group(g).to_json_dict()
+        assert got == _plain_classification(g), g
+        for key in ("spherical", "fc_type", "free_product_of_spherical", "large",
+                    "two_dimensional", "martin_2dim_condition"):
+            seen.setdefault(key, set()).add(got[key])
+        seen.setdefault("applicability", set()).add(got["applicability"])
+        seen.setdefault("affine", set()).add(got["affine_family"] is not None)
+    assert all(values == {True, False} for key, values in seen.items() if key != "applicability")
+    assert seen["applicability"] == {"FullStability", "QuasiStability", "Unknown"}
+
+
+@pytest.mark.parametrize(
+    "labels, expected",
+    [((2, 3, 6), True), ((2, 4, 4), True), ((3, 3, 3), True), ((2, 3, 5), False), ((2, 2, 7), False)],
+)
+def test_two_dimensional_boundary_triples(labels, expected):
+    ab, bc, ac = labels
+    g = build_graph("abc", ("a", "b", ab), ("b", "c", bc), ("a", "c", ac))
+    assert classify_group(g).two_dimensional is expected
+    assert _plain_classification(g)["two_dimensional"] is expected

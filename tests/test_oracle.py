@@ -15,9 +15,43 @@ from artinstab import (
     standard_graph,
     w0_conjugation_permutation,
 )
-from artinstab.oracle import _matmul
+from artinstab.oracle import _reflection_matrices
 
 from conftest import build_graph
+
+CRYSTALLOGRAPHIC_UP_TO_RANK_10 = (
+    [("A", n) for n in range(1, 11)]
+    + [("B", n) for n in range(2, 11)]
+    + [("D", n) for n in range(4, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4)]
+)
+
+
+def _identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _greedy_descent(t):
+    """The longest element by the plain descent: multiply by the first
+    reflection whose column of the product is positive, until none is."""
+    refl = _reflection_matrices(t)
+    m, word = _identity(t.rank), []
+    while True:
+        for i in range(t.rank):
+            if all(row[i] >= 0 for row in m):
+                m = _matmul(m, refl[i])
+                word.append(i + 1)
+                break
+        else:
+            return m, tuple(word)
 
 
 def component_of(family, n=0, m=0):
@@ -41,10 +75,7 @@ def test_simple_reflection_is_an_involution():
         _, c = component_of(family, n, m)
         for i in range(1, c.type.rank + 1):
             s = simple_reflection(c, i).matrix
-            assert _matmul(s, s) == tuple(
-                tuple(1 if a == b else 0 for b in range(c.type.rank))
-                for a in range(c.type.rank)
-            )
+            assert _matmul(s, s) == _identity(c.type.rank)
 
 
 def test_simple_reflection_unsupported_types():
@@ -88,9 +119,7 @@ def test_longest_element_squares_to_identity():
     for family, n, m in [("A", 5, 0), ("B", 3, 0), ("D", 6, 0), ("E", 6, 0), ("F", 4, 0)]:
         _, c = component_of(family, n, m)
         w0 = longest_element(c)
-        n_ = c.type.rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n_)) for i in range(n_))
-        assert _matmul(w0.matrix, w0.matrix) == ident
+        assert _matmul(w0.matrix, w0.matrix) == _identity(c.type.rank)
 
 
 def test_longest_element_maps_simple_roots_to_negatives():
@@ -102,16 +131,15 @@ def test_longest_element_maps_simple_roots_to_negatives():
 
 
 def test_longest_element_word_multiplies_to_the_matrix():
-    for family, n, m in [("A", 4, 0), ("B", 3, 0), ("E", 6, 0)]:
-        _, c = component_of(family, n, m)
+    for family, n in CRYSTALLOGRAPHIC_UP_TO_RANK_10:
+        _, c = component_of(family, n)
         w0 = longest_element(c)
-        acc = tuple(
-            tuple(1 if i == j else 0 for j in range(c.type.rank))
-            for i in range(c.type.rank)
-        )
+        acc = _identity(n)
         for i in w0.word:
             acc = _matmul(acc, simple_reflection(c, i).matrix)
-        assert acc == w0.matrix
+        assert acc == w0.matrix, c.type
+        assert (w0.matrix, w0.word) == _greedy_descent(c.type), c.type
+        assert len(w0.word) == len(positive_roots(c)), c.type
 
 
 def test_longest_element_dihedral_alternates():
