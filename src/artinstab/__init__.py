@@ -6,8 +6,10 @@ Library layout:
 * :mod:`artinstab.classify` recognizes finite-type diagrams and classifies
   the whole group into hypothesis families;
 * :mod:`artinstab.twist` implements twists, the set-level conjugations by
-  Garside elements;
-* :mod:`artinstab.orbit` decides conjugacy of standard parabolic subgroups;
+  Garside elements, with the one per-call table of twist steps on masks
+  that every search runs on;
+* :mod:`artinstab.orbit` decides conjugacy of standard parabolic subgroups
+  with the breadth-first engine that the stability closures share;
 * :mod:`artinstab.stability` decides conjugacy stability;
 * :mod:`artinstab.oracle` is an independent integer root-system engine used
   to cross-check the twist formulas;

@@ -280,7 +280,7 @@ _COMMANDS = {
     "oracle-check": (
         "cross-verify diagram reflections against the Weyl-group oracle",
         _cmd_oracle_check,
-        (("--graph", {"help": "path to the graph JSON file"}), _FORMAT),
+        (_FORMAT,),
     ),
 }
 

@@ -4,10 +4,11 @@ Two standard parabolic subgroups are conjugate exactly when one lies in the
 twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the generator
-order and convert to name tuples only for their results.  The same search
-engine, ``bfs_closure``, and the same per-call tables, ``MaskTwists``, also
-run the stability decision: its D scans and its component-tuple closures.
-The search keeps parent pointers; words are built only for reported states.
+order and convert to name tuples only for their results; their twist steps
+come from the per-call tables of ``twist.MaskTwists``.  The same search
+engine, ``bfs_closure``, also runs the component-tuple closures of the
+stability decision.  The search keeps parent pointers; words are built
+only for reported states.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .classify import TypedComponent, _recognize_connected
-from .graph import CoxeterGraph, MaskTable, VertexSet, _bits
-from .twist import ConjugatorWord, TwistFactor, _garside_twist
+from .graph import CoxeterGraph, VertexSet
+from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
 
 @dataclass(frozen=True)
@@ -117,120 +116,6 @@ def words(parents: Parents) -> dict[State, ConjugatorWord]:
     for Z, step in parents.items():
         out[Z] = ConjugatorWord() if step is None else out[step[0]].extended(step[1])
     return out
-
-
-class Images(dict):
-    """Images of masks under the involution a component's twist induces,
-    filled on first lookup; ``perm`` maps each single-bit mask of the
-    component to the bit of its image.  A mask disjoint from the component
-    is its own image."""
-
-    def __init__(self, perm: dict[int, int]):
-        super().__init__()
-        self.perm = perm
-
-    def __missing__(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            bit = 1 << i
-            out |= self.perm.get(bit, bit)
-        self[mask] = out
-        return out
-
-
-# A twist step of a subset mask: the bit of t, the component of the subset
-# plus t containing t, and that component's images and factor.
-MaskStep = tuple[int, int, Images, TwistFactor]
-
-
-class MaskTwists(MaskTable):
-    """Twists of subsets written as int masks, for one call: the mask table
-    of the graph, each component recognized once, its twist, and the twist
-    steps at the border of each component of the subsets a search reaches.
-    Built per call and dropped with it."""
-
-    def __init__(self, g: CoxeterGraph):
-        super().__init__(g)
-        self.types: dict[int, TypedComponent | None] = {}
-        self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
-        # component mask -> its border and its steps there (see ``_alone``)
-        self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
-
-    def typed(self, comp: int) -> TypedComponent | None:
-        """The recognized type of a component mask, kept for the call.  The
-        mask must be connected, as every flood is."""
-        if comp not in self.types:
-            self.types[comp] = _recognize_connected(self.g, self.names(comp))
-        return self.types[comp]
-
-    def _recognize(self, comp: int) -> tuple[Images, TwistFactor] | None:
-        """The twist of a component mask as a bit map, kept for the call."""
-        found = _garside_twist(self.typed(comp))
-        twist = None
-        if found is not None:
-            tau, factor = found
-            bit = {v: 1 << self.index[v] for v in tau}
-            twist = Images({bit[v]: bit[w] for v, w in tau.items()}), factor
-        self.twists[comp] = twist
-        return twist
-
-    def _step(self, tbit: int, comp: int) -> MaskStep | None:
-        """The step at t whose component of Y + t is comp, None when comp is
-        not twistable."""
-        twists = self.twists
-        twist = twists[comp] if comp in twists else self._recognize(comp)
-        return None if twist is None else (tbit, comp, *twist)
-
-    def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
-        """(the border of the component mask C, the steps at each border bit
-        t when t is adjacent to C alone, so that C + t is the component of
-        t), kept for the call."""
-        found = self.borders.get(C)
-        if found is None:
-            nbrs = self.nbrs
-            border = 0
-            for i in _bits(C):
-                border |= nbrs[i]
-            border &= ~C
-            steps = []
-            near = border
-            while near:
-                tbit = near & -near
-                near ^= tbit
-                step = self._step(tbit, C | tbit)
-                if step is not None:
-                    steps.append(step)
-            self.borders[C] = found = border, steps
-        return found
-
-    def steps(self, Y: int) -> list[MaskStep]:
-        """(bit of t, the component C of Y + t containing t, the twist of C)
-        for each t adjacent to Y whose C is twistable, in increasing bit
-        order, the order of ``adjacent``.  C is t plus the components of Y
-        adjacent to t: the steps at a t adjacent to one component alone come
-        from that component's list, and only the others are recognized
-        here.  The list may be shared: do not modify it."""
-        comps = self.components(Y)
-        parts = [self._alone(C) for C in comps]
-        if len(parts) == 1:
-            return parts[0][1]
-        seen = multi = 0
-        for border, _ in parts:
-            multi |= seen & border
-            seen |= border
-        out = [step for _, steps in parts for step in steps if not step[0] & multi]
-        while multi:
-            tbit = multi & -multi
-            multi ^= tbit
-            comp = tbit
-            for C, (border, _) in zip(comps, parts):
-                if border & tbit:
-                    comp |= C
-            step = self._step(tbit, comp)
-            if step is not None:
-                out.append(step)
-        out.sort(key=itemgetter(0))
-        return out
 
 
 def _mask_twists(

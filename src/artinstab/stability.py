@@ -29,17 +29,10 @@ from .classify import (
     TypedComponent,
     classify_group,
     is_spherical,
-    recognize_component,
 )
 from .graph import CoxeterGraph, VertexSet, components
-from .orbit import MaskTwists, Parents, bfs_closure, word_to, words
-from .twist import (
-    ConjugatorWord,
-    TwistFactor,
-    _garside_twist,
-    delta_conjugate_set,
-    twist_component,
-)
+from .orbit import Parents, bfs_closure, word_to, words
+from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
 ComponentTuple = tuple[VertexSet, ...]
 
@@ -112,17 +105,17 @@ def initial_tuple(g: CoxeterGraph, X1: Iterable[str]) -> ComponentTuple:
 def tuple_twist(
     g: CoxeterGraph, T: ComponentTuple, t: str
 ) -> tuple[ComponentTuple, TwistFactor] | None:
-    """Twist the union of the tuple at t, tracking each position's image."""
-    union = g.subset([v for part in T for v in part])
-    comp = twist_component(g, union, t)
-    twist = _garside_twist(recognize_component(g, comp))
-    if twist is None:
+    """Twist the union of the tuple at t, tracking each position's image;
+    t must be adjacent to the union (see ``MaskTwists.step_at``)."""
+    tw = MaskTwists(g)
+    step = tw.step_at(tw.mask(g.subset([v for part in T for v in part])), t)
+    if step is None:
         return None
-    moved = tuple(delta_conjugate_set(g, comp, part) for part in T)
-    return moved, twist[1]
+    _, _, images, factor = step
+    return tuple(tw.names(images[tw.mask(part)]) for part in T), factor
 
 
-# A component tuple written as part masks (see ``orbit.MaskTwists``).
+# A component tuple written as part masks (see ``twist.MaskTwists``).
 MaskTuple = tuple[int, ...]
 
 
@@ -172,12 +165,6 @@ def _closure(
     return bfs_closure([start], successors, stop)
 
 
-def _tuple_closure(tw: MaskTwists, start: MaskTuple, allowed: int) -> Parents:
-    """The closure of ``tuple_orbit`` on part masks under twists at the
-    bits of allowed, as parent pointers."""
-    return _closure(Moves(tw, allowed), start, INSIDE)
-
-
 def _beyond(
     moves: Moves, internal: Parents, stop: Callable[[MaskTuple], bool] | None = None
 ) -> Parents:
@@ -213,7 +200,7 @@ def tuple_orbit(
     vertices satisfying ``allowed`` (all vertices when None)."""
     tw = MaskTwists(g)
     bits = tw.mask(v for v in g.generators if allowed is None or allowed(v))
-    parents = _tuple_closure(tw, tw.components(tw.mask(g.subset(X1))), bits)
+    parents = _closure(Moves(tw, bits), tw.components(tw.mask(g.subset(X1))), INSIDE)
     return {
         tuple(tw.names(P) for P in T): word for T, word in words(parents).items()
     }

@@ -2,18 +2,22 @@
 
 Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
-each twistable component (and fixes everything else).  Words of such signed
-factors are kept symbolic; expanding a factor into generator letters is
-delegated to the oracle module and is optional.
+each twistable component (and fixes everything else).  ``MaskTwists`` is
+the one place that computes an elementary twist: on subsets written as int
+masks, with each component recognized once per call.  Every search runs on
+it, and ``elementary_twist`` is a thin wrapper over it on name tuples.
+Words of signed factors are kept symbolic; expanding a factor into
+generator letters is delegated to the oracle module and is optional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .classify import TypedComponent, is_twistable, recognize_component
-from .graph import CoxeterGraph, VertexSet, adjacent, components
+from .classify import TypedComponent, _recognize_connected, is_twistable, recognize_component
+from .graph import CoxeterGraph, MaskTable, VertexSet, _bits, components
 
 
 class DeltaActionUndefined(ValueError):
@@ -118,42 +122,151 @@ def delta_conjugate_set(
     return tuple(sorted(out))
 
 
-def twist_component(g: CoxeterGraph, Y: VertexSet, t: str) -> VertexSet:
-    """The component of Y + t containing t.  Y is canonical and t must be
-    adjacent to Y."""
-    if t not in adjacent(g, Y):
-        raise ValueError(f"{t!r} is not adjacent to {list(Y)}")
-    return next(c for c in components(g, Y + (t,)) if t in c)
+class Images(dict):
+    """Images of masks under the involution a component's twist induces,
+    filled on first lookup; ``perm`` maps each single-bit mask of the
+    component to the bit of its image.  A mask disjoint from the component
+    is its own image."""
+
+    def __init__(self, perm: dict[int, int]):
+        super().__init__()
+        self.perm = perm
+
+    def __missing__(self, mask: int) -> int:
+        out = 0
+        for i in _bits(mask):
+            bit = 1 << i
+            out |= self.perm.get(bit, bit)
+        self[mask] = out
+        return out
 
 
-def _garside_twist(
-    tc: TypedComponent | None,
-) -> tuple[dict[str, str], TwistFactor] | None:
-    """The involution that conjugation by the Garside element of a
-    recognized component induces on it, and that factor; None unless the
-    component is twistable (None, the component of infinite type, is not)."""
-    if tc is None or not is_twistable(tc):
-        return None
-    return delta_automorphism(tc), TwistFactor(tc.vertices, 1)
+# A twist step of a subset mask: the bit of t, the component of the subset
+# plus t containing t, and that component's images and factor.
+MaskStep = tuple[int, int, Images, TwistFactor]
+
+
+class MaskTwists(MaskTable):
+    """Twists of subsets written as int masks, for one call: the mask table
+    of the graph, each component recognized once, its twist, and the twist
+    steps at the border of each component of the subsets a search reaches.
+    Built per call and dropped with it."""
+
+    def __init__(self, g: CoxeterGraph):
+        super().__init__(g)
+        self.types: dict[int, TypedComponent | None] = {}
+        self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
+        # component mask -> its border and its steps there (see ``_alone``)
+        self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
+
+    def typed(self, comp: int) -> TypedComponent | None:
+        """The recognized type of a component mask, kept for the call.  The
+        mask must be connected, as every flood is."""
+        if comp not in self.types:
+            self.types[comp] = _recognize_connected(self.g, self.names(comp))
+        return self.types[comp]
+
+    def _recognize(self, comp: int) -> tuple[Images, TwistFactor] | None:
+        """The twist of a component mask, kept for the call: the involution
+        that conjugation by its Garside element induces on its bits, and
+        that factor; None unless the component is twistable (a component of
+        infinite type is not)."""
+        tc = self.typed(comp)
+        twist = None
+        if tc is not None and is_twistable(tc):
+            bit = {v: 1 << self.index[v] for v in tc.vertices}
+            perm = {bit[v]: bit[w] for v, w in delta_automorphism(tc).items()}
+            twist = Images(perm), TwistFactor(tc.vertices, 1)
+        self.twists[comp] = twist
+        return twist
+
+    def _step(self, tbit: int, comp: int) -> MaskStep | None:
+        """The step at t whose component of Y + t is comp, None when comp is
+        not twistable."""
+        twists = self.twists
+        twist = twists[comp] if comp in twists else self._recognize(comp)
+        return None if twist is None else (tbit, comp, *twist)
+
+    def step_at(self, Y: int, t: str) -> MaskStep | None:
+        """The step of the subset mask Y at the generator t, None when the
+        component of Y + t containing t is not twistable.  An unknown t is
+        a GraphError, and a t that is not adjacent to Y a ValueError."""
+        (t,) = self.g.subset((t,))
+        i = self.index[t]
+        if Y >> i & 1 or not self.nbrs[i] & Y:
+            raise ValueError(f"{t!r} is not adjacent to {list(self.names(Y))}")
+        return self._step(1 << i, self.flood(1 << i, Y | 1 << i))
+
+    def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
+        """(the border of the component mask C, the steps at each border bit
+        t when t is adjacent to C alone, so that C + t is the component of
+        t), kept for the call."""
+        found = self.borders.get(C)
+        if found is None:
+            nbrs = self.nbrs
+            border = 0
+            for i in _bits(C):
+                border |= nbrs[i]
+            border &= ~C
+            steps = []
+            near = border
+            while near:
+                tbit = near & -near
+                near ^= tbit
+                step = self._step(tbit, C | tbit)
+                if step is not None:
+                    steps.append(step)
+            self.borders[C] = found = border, steps
+        return found
+
+    def steps(self, Y: int) -> list[MaskStep]:
+        """(bit of t, the component C of Y + t containing t, the twist of C)
+        for each t adjacent to Y whose C is twistable, in increasing bit
+        order, the order of ``adjacent``.  C is t plus the components of Y
+        adjacent to t: the steps at a t adjacent to one component alone come
+        from that component's list, and only the others are recognized
+        here.  The list may be shared: do not modify it."""
+        comps = self.components(Y)
+        parts = [self._alone(C) for C in comps]
+        if len(parts) == 1:
+            return parts[0][1]
+        seen = multi = 0
+        for border, _ in parts:
+            multi |= seen & border
+            seen |= border
+        out = [step for _, steps in parts for step in steps if not step[0] & multi]
+        while multi:
+            tbit = multi & -multi
+            multi ^= tbit
+            comp = tbit
+            for C, (border, _) in zip(comps, parts):
+                if border & tbit:
+                    comp |= C
+            step = self._step(tbit, comp)
+            if step is not None:
+                out.append(step)
+        out.sort(key=itemgetter(0))
+        return out
 
 
 def elementary_twist(
     g: CoxeterGraph, Y: Iterable[str], t: str
 ) -> tuple[VertexSet, TwistFactor] | None:
     """One twist step: conjugate Y by the Garside element of the component
-    of Y + t containing t, when that component is twistable.
+    C of Y + t containing t, when C is twistable, which replaces C by C
+    minus the image of t.
 
-    Returns the twisted set and the factor, or None when the component is
-    not twistable.  The new set has the same size as Y.
+    Returns the twisted set and the factor, or None when C is not
+    twistable.  The new set has the same size as Y.  t must be adjacent
+    to Y (see ``MaskTwists.step_at``).
     """
-    Ys = g.subset(Y)
-    comp = twist_component(g, Ys, t)
-    twist = _garside_twist(recognize_component(g, comp))
-    if twist is None:
+    tw = MaskTwists(g)
+    Ym = tw.mask(g.subset(Y))
+    step = tw.step_at(Ym, t)
+    if step is None:
         return None
-    tau, factor = twist
-    Z = (set(Ys) - set(comp)) | (set(comp) - {tau[t]})
-    return tuple(sorted(Z)), factor
+    tbit, comp, images, factor = step
+    return tw.names((Ym & ~comp) | (comp & ~images.perm[tbit])), factor
 
 
 def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSet:
@@ -165,3 +278,4 @@ def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSe
         except DeltaActionUndefined as exc:
             raise DeltaActionUndefined(exc.vertex, exc.subset, i) from exc
     return cur
+

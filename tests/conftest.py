@@ -44,3 +44,27 @@ def rename_graph(g: CoxeterGraph, mapping: dict[str, str]) -> CoxeterGraph:
         if m != 2:
             rels.append((mapping[s], mapping[t], m))
     return CoxeterGraph.build([mapping[v] for v in g.generators], rels)
+
+
+def random_tree(rng: random.Random) -> CoxeterGraph:
+    """A tree on 7-10 vertices named s1..sn in a shuffled order; a new
+    vertex extends the last one or, one time in three, branches off a
+    vertex of degree 2."""
+    n = rng.randint(7, 10)
+    names = [f"s{i + 1}" for i in range(n)]
+    rng.shuffle(names)
+    degree = [0] * n
+    rels = []
+    for i in range(1, n):
+        inner = [j for j in range(i) if degree[j] == 2]
+        j = rng.choice(inner) if inner and rng.random() < 1 / 3 else i - 1
+        degree[i] += 1
+        degree[j] += 1
+        m = rng.choices((3, 4, INFINITY), weights=(16, 2, 1))[0]
+        rels.append((names[i], names[j], m))
+    return CoxeterGraph.build(names, rels)
+
+
+def trees(seed: int, count: int) -> list[CoxeterGraph]:
+    rng = random.Random(seed)
+    return [random_tree(rng) for _ in range(count)]

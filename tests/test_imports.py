@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+test-side reference, ``tests/reference.py``, imports only public names.
 
 The package ``__init__`` is skipped: it imports names only to re-export
 them.  A name counts as used when it appears as an identifier anywhere in
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import artinstab
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "artinstab"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +44,15 @@ def test_the_scan_covers_the_library():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_reference_imports_only_public_names():
+    tree = ast.parse(REFERENCE.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("artinstab") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("artinstab"):
+            assert node.module == "artinstab"
+            names |= {alias.name for alias in node.names}
+    assert names and names <= set(artinstab.__all__), names - set(artinstab.__all__)

@@ -1,20 +1,24 @@
+"""Twist orbits and conjugators: worked examples, the name-tuple reference
+of ``tests/reference.py`` on random graphs and on D-rich trees, and the
+Young subgroups of A_n, checked without the library.
+"""
+
 import random
-from collections import Counter, deque
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
 from artinstab import (
     ConjugatorWord,
     TwistFactor,
-    adjacent,
     apply_word,
     conjugator,
-    elementary_twist,
     orbit,
     standard_graph,
 )
 
-from conftest import build_graph, random_graph, random_subset, rename_graph
+from conftest import build_graph, random_graph, random_subset, rename_graph, trees
+from reference import Reference
 
 
 def test_orbit_singleton_in_a3():
@@ -121,40 +125,40 @@ def test_orbit_json_shape():
             assert factor["sign"] in (1, -1)
 
 
-def reference_orbit(g, X):
-    """Twist closure of X built only from the public adjacent and
-    elementary_twist, with a plain BFS over name tuples."""
-    start = g.subset(X)
-    table = {start: ConjugatorWord()}
-    queue = deque([start])
-    while queue:
-        Y = queue.popleft()
-        for t in adjacent(g, Y):
-            step = elementary_twist(g, Y, t)
-            if step is None or step[0] in table:
-                continue
-            table[step[0]] = table[Y].extended(step[1])
-            queue.append(step[0])
-    return table
-
-
-def test_orbit_and_conjugator_equal_name_tuple_reference():
-    # s1..s10: the canonical (sorted) order s1, s10, s2, ... differs from
-    # the construction order
+def orbit_cases():
+    """(graph, reference, X, targets): 300 random graphs of at most 10
+    vertices, each with one X and every target of its size; then every X of
+    the trees of at most 8 vertices that test_d_scans samples, each with one
+    random target.  The trees' D and E components give twists that the
+    random graphs seldom reach.  All are named s1..sn, whose canonical
+    (sorted) order s1, s10, s2, ... differs from the construction order."""
     rng = random.Random(0x0B17)
-    compared = 0
     for _ in range(300):
         g = random_graph(rng, max_vertices=10)
         g = rename_graph(g, {v: f"s{i + 1}" for i, v in enumerate(g.generators)})
         X = random_subset(rng, g)
-        want = reference_orbit(g, X)
+        yield g, Reference(g), X, combinations(g.generators, len(X))
+    rng = random.Random(0x0B18)
+    for g in trees(0xD5CA, 8):
+        if len(g.generators) <= 8:
+            ref = Reference(g)
+            for r in range(1, len(g.generators) + 1):
+                for X in combinations(g.generators, r):
+                    yield g, ref, X, [tuple(sorted(rng.sample(g.generators, r)))]
+
+
+def test_orbit_and_conjugator_equal_name_tuple_reference():
+    compared = reached = 0
+    for g, ref, X, targets in orbit_cases():
+        want = ref.orbit(X)
         assert list(orbit(g, X).entries) == list(want.items()), (g, X)
         # an early-stopping BFS finds a target with the word the full
         # closure records for it
-        for Y in combinations(g.generators, len(X)):
+        for Y in targets:
             assert conjugator(g, X, Y) == want.get(Y), (g, X, Y)
             compared += 1
-    assert compared > 5000
+            reached += Y in want
+    assert compared > 7000 and reached > 700, (compared, reached)
 
 
 # ------------------------------------------- A_n: Young subgroups (no library)

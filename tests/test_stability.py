@@ -2,6 +2,7 @@ import pytest
 
 from artinstab import (
     INFINITY,
+    GraphError,
     IrreducibleType,
     SubsetSizeLimitError,
     TwistFactor,
@@ -56,6 +57,10 @@ def test_tuple_twist_none_when_not_twistable():
 def test_tuple_twist_requires_adjacency():
     with pytest.raises(ValueError, match="adjacent"):
         tuple_twist(A3, (("a",),), "c")
+    with pytest.raises(ValueError, match="adjacent"):  # t inside the union
+        tuple_twist(A3, (("a",), ("c",)), "c")
+    with pytest.raises(GraphError, match="unknown generator 'z'"):
+        tuple_twist(A3, (("a",),), "z")
 
 
 def test_initial_tuple_orders_components_canonically():

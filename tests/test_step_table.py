@@ -4,9 +4,10 @@
   subset of A2-A7, B2-B4, D4-D7, E6, E7, F4 and I2(5..7); the sweep must
   reproduce it byte for byte.  Regenerate it (only for a deliberate witness
   change) with ``PYTHONPATH=src python tests/test_step_table.py --write``.
-* The mask closures the decision builds, with one ``MaskTwists`` shared by
-  all subsets and names converted at the boundary, must equal, keys, words
-  and order, a closure built only from the public ``tuple_twist``.
+* The mask closures the decision builds, with one ``MaskTwists`` and one
+  ``Moves`` shared by all subsets and names converted at the boundary,
+  must equal, keys, words and order, the closures of the name-tuple
+  reference of ``tests/reference.py``.
 * The decision's external closure, grown from the internal one, must hold
   the states of the plain closure under all twists.
 * ``MaskTwists.steps``, which derives the steps of a subset from those of
@@ -18,26 +19,23 @@ from __future__ import annotations
 import json
 import random
 import sys
-from collections import deque
 from itertools import combinations
 from pathlib import Path
 
 from artinstab import (
-    ConjugatorWord,
     TwistFactor,
-    adjacent,
     decide_stability,
     delta_automorphism,
-    initial_tuple,
     is_twistable,
     recognize_component,
     standard_graph,
-    tuple_twist,
 )
-from artinstab.orbit import MaskTwists, words
-from artinstab.stability import INSIDE, Moves, _beyond, _closure, _tuple_closure
+from artinstab.orbit import words
+from artinstab.stability import EVERYWHERE, INSIDE, Moves, _beyond, _closure
+from artinstab.twist import MaskTwists
 
 from conftest import random_graph, random_subset, rename_graph
+from reference import Reference
 
 GOLDEN = Path(__file__).parent / "data" / "stability_witness_golden.json"
 
@@ -85,31 +83,6 @@ def test_stability_sweep_matches_witness_golden_bytes():
     }
 
 
-def reference_closure(g, X1, allowed=None):
-    """BFS closure of the component tuple of X1 built only from tuple_twist."""
-    start = initial_tuple(g, X1)
-    table = {start: ConjugatorWord()}
-    queue = deque([start])
-    while queue:
-        T = queue.popleft()
-        for t in adjacent(g, [v for part in T for v in part]):
-            if allowed is not None and not allowed(t):
-                continue
-            step = tuple_twist(g, T, t)
-            if step is None or step[0] in table:
-                continue
-            table[step[0]] = table[T].extended(step[1])
-            queue.append(step[0])
-    return table
-
-
-def mask_closure(tw, X1, allowed=None):
-    """The decision's closure of X1 on part masks, read back as names."""
-    bits = tw.mask(v for v in tw.gens if allowed is None or allowed(v))
-    parents = _tuple_closure(tw, tw.components(tw.mask(X1)), bits)
-    return {tuple(tw.names(P) for P in T): w for T, w in words(parents).items()}
-
-
 def reference_cases():
     """The draws of 150 graphs of 1-6 vertices a..f, each with a subset,
     then 40 graphs of 7-10 vertices with subsets of at most 8; all renamed
@@ -127,17 +100,20 @@ def reference_cases():
         yield rename_graph(g, names), sorted(names[v] for v in X)
 
 
-def test_shared_step_table_closures_equal_tuple_twist_reference():
+def test_shared_step_table_closures_equal_name_tuple_reference():
     compared = 0
     for g, X in reference_cases():
-        inside = set(X)
-        tw = MaskTwists(g)  # one set of tables for every subset, as in the decision
+        ref = Reference(g)
+        # one set of tables for every subset, as in the decision
+        tw = MaskTwists(g)
+        moves = Moves(tw, tw.mask(X))
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
-                for allowed in (inside.__contains__, None):
-                    got = mask_closure(tw, X1, allowed)
-                    want = reference_closure(g, X1, allowed)
-                    assert list(got.items()) == list(want.items()), (g, X, X1)
+                start = tw.components(tw.mask(X1))
+                for which, inside in ((INSIDE, set(X)), (EVERYWHERE, None)):
+                    got = words(_closure(moves, start, which)).items()
+                    got = [(tuple(tw.names(P) for P in T), w) for T, w in got]
+                    assert got == list(ref.closure(X1, inside).items()), (g, X, X1)
                     compared += 1
     assert compared > 5000
 
@@ -147,15 +123,13 @@ def test_internal_closure_and_its_beyond_make_the_external_closure():
     for g, X in reference_cases():
         tw = MaskTwists(g)
         inside = tw.mask(X)
-        everywhere = (1 << len(g.generators)) - 1
         moves = Moves(tw, inside)  # shared by every subset, as in the decision
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
                 start = tw.components(tw.mask(X1))
                 internal = _closure(moves, start, INSIDE)
-                assert list(internal.items()) == list(_tuple_closure(tw, start, inside).items())
                 beyond = _beyond(moves, internal)
-                external = _tuple_closure(tw, start, everywhere)
+                external = _closure(moves, start, EVERYWHERE)
                 assert not beyond.keys() & internal.keys(), (g, X, X1)
                 assert beyond.keys() | internal.keys() == external.keys(), (g, X, X1)
                 failing += any(sum(T) & ~inside == 0 for T in beyond)

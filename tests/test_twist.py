@@ -4,6 +4,7 @@ from artinstab import (
     INFINITY,
     ConjugatorWord,
     DeltaActionUndefined,
+    GraphError,
     TwistFactor,
     adjacent,
     apply_word,
@@ -133,6 +134,10 @@ def test_elementary_twist_requires_adjacency():
     a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
     with pytest.raises(ValueError, match="adjacent"):
         elementary_twist(a3, ("a",), "c")
+    with pytest.raises(ValueError, match="adjacent"):  # t inside Y
+        elementary_twist(a3, ("a", "b"), "b")
+    with pytest.raises(GraphError, match="unknown generator 'z'"):
+        elementary_twist(a3, ("a",), "z")
 
 
 def test_twist_preserves_size_and_diagram_shape():
