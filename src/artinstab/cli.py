@@ -45,7 +45,12 @@ def _emit_json(payload) -> None:
 
 
 def _load_graph(args) -> CoxeterGraph:
-    return parse_graph(Path(args.graph).read_bytes())
+    # an unreadable file is invalid input; an output error is not
+    try:
+        data = Path(args.graph).read_bytes()
+    except OSError as exc:
+        raise GraphError(str(exc)) from None
+    return parse_graph(data)
 
 
 def _parse_subset(g: CoxeterGraph, raw: str):
@@ -307,20 +312,54 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_well_formed(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would give when argv is a command name, then
+    options of its table by exact string, each once, every required one
+    given, each value valid and not starting with "-"; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    table, given = dict(arguments), {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        options = table.pop(flag, None)  # popped, so a repeat is unknown
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        raw = next(rest, "-")
+        try:
+            given[flag] = value = options.get("type", str)(raw)
+        except argparse.ArgumentTypeError:
+            return None
+        if raw.startswith("-") or value not in options.get("choices", (value,)):
+            return None
+    if any(options.get("required") for options in table.values()):
+        return None
+    args = argparse.Namespace(command=argv[0], handler=handler)
+    for flag, options in arguments:
+        default = options.get("default", False if "action" in options else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the named subparser; -h, no command or an unknown one get them all
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse_well_formed(argv)
+    if args is None:
+        # only the named subparser; -h, no command or an unknown one get them all
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     # Only input errors map to exit 2; any other exception is a bug and
     # propagates with its traceback.
     try:
         return args.handler(args)
-    except (GraphError, UnsupportedTypeError, OSError) as exc:
+    except (GraphError, UnsupportedTypeError) as exc:
         _fail(str(exc))
         return 2
     except SubsetSizeLimitError as exc:

@@ -21,7 +21,6 @@ from artinstab import (
     conjugator,
     decide_stability,
     delta_automorphism,
-    delta_conjugation_map,
     elementary_twist,
     initial_tuple,
     orbit,

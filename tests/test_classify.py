@@ -9,7 +9,6 @@ from artinstab import (
     INFINITY,
     CoxeterGraph,
     classify_group,
-    induced,
     is_spherical,
     is_twistable,
     recognize_component,

@@ -1,9 +1,13 @@
+import io
 import json
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from artinstab import expand_subset, orbit, standard_graph, to_json_dict
-from artinstab.cli import main
+from artinstab.cli import _COMMANDS, _build_parser, _parse_well_formed, main
 
 E7 = {
     "generators": ["s1", "s2", "s3", "s4", "s5", "s6", "s7"],
@@ -70,9 +74,27 @@ def test_validate_rejects_non_integer_labels(capsys, tmp_path, label):
 
 
 def test_missing_file(capsys, tmp_path):
-    code, _, err = run(capsys, "validate", "--graph", str(tmp_path / "nope.json"))
+    code, out, err = run(capsys, "validate", "--graph", str(tmp_path / "nope.json"))
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file")
+
+
+def test_unreadable_file_is_invalid_input(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", "--graph", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ")
+
+
+def test_output_error_is_not_invalid_input(monkeypatch, e7_file):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["orbit", "--graph", e7_file, "--subset", "s1", "--format", "json"])
 
 
 def test_classify_json(capsys, square_file):
@@ -347,3 +369,104 @@ def test_argparse_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# Values for each option of the command table that argparse accepts.
+VALID = {
+    "--graph": ["g.json", "s1"],
+    "--format": ["json", "text"],
+    "--subset": ["s1,s3", "s2"],
+    "--target": ["s1,s2", "s 3"],
+    "--mode": ["auto", "force"],
+    "--max-subset-size": ["1", "16", " 7"],
+}
+OPTIONS = sorted({flag for _, _, arguments in _COMMANDS.values() for flag, _ in arguments})
+STRAYS = ["", "-", "--", "-1", "0", "xml", "-h", "--help", "--gra", "--graph=g.json", "extra"]
+
+
+def _argvs(rng: random.Random, count: int):
+    """Calls of every command, each with its required options and some
+    others in a random order, half of them then broken by inserting,
+    repeating, dropping or replacing a token."""
+    for _ in range(count):
+        command = rng.choice([*_COMMANDS, *_COMMANDS, "bogus", "-h"])
+        _, _, arguments = _COMMANDS.get(command, (None, None, ()))
+        pairs = [
+            [flag] if options.get("action") else [flag, rng.choice(VALID[flag])]
+            for flag, options in arguments
+            if options.get("required") or rng.random() < 0.5
+        ]
+        rng.shuffle(pairs)
+        argv = [command] + [token for pair in pairs for token in pair]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            i = rng.randrange(len(argv) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                argv.insert(i, rng.choice(OPTIONS + STRAYS))
+            elif edit == 1 and pairs:
+                argv += rng.choice(pairs)
+            elif edit == 2 and i < len(argv):
+                del argv[i]
+            elif i < len(argv):
+                argv[i] = rng.choice(OPTIONS + STRAYS + sum(VALID.values(), []))
+        yield argv
+
+
+def test_well_formed_parse_equals_argparse():
+    parser = _build_parser()
+    accepted = 0
+    for argv in _argvs(random.Random(20240612), 3000):
+        args = _parse_well_formed(argv)
+        if args is None:
+            continue
+        accepted += 1
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                want = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"accepted {argv}, which argparse rejects")
+        assert vars(args) == vars(want), argv
+    assert accepted > 1000
+
+
+def test_well_formed_calls_do_not_build_an_argparse_parser(monkeypatch, capsys, tmp_path):
+    def no_argparse(command=None):
+        raise AssertionError(f"argparse parser built for {command}")
+
+    monkeypatch.setattr("artinstab.cli._build_parser", no_argparse)
+    g = str(tmp_path / "a3.json")
+    (tmp_path / "a3.json").write_text(json.dumps(to_json_dict(standard_graph("A", 3))))
+    shapes = [  # the README's and the CI's calls
+        ["validate", "--graph", g],
+        ["classify", "--graph", g],
+        ["type", "--graph", g, "--subset", "s1,s2"],
+        ["orbit", "--graph", g, "--subset", "s1,s2"],
+        ["conjugate", "--graph", g, "--subset", "s1", "--target", "s2"],
+        ["stability", "--graph", g, "--subset", "s1,s2"],
+        ["stability", "--graph", g, "--subset", "s1,s2", "--mode", "force"],
+        ["stability", "--graph", g, "--subset", "s1,s3", "--max-subset-size", "2"],
+        ["export-dot", "--graph", g],
+        ["oracle-check"],
+        ["classify", "--graph", g, "--format", "json"],
+        ["orbit", "--graph", g, "--subset", "s1", "--format", "json"],
+        ["orbit", "--graph", g, "--subset", "s1,s2", "--expand-words", "--format", "json"],
+        ["stability", "--graph", g, "--subset", "s1,s3", "--format", "json"],
+        ["conjugate", "--graph", g, "--subset", "s1,s3", "--target", "s1,s2", "--format", "json"],
+        ["oracle-check", "--format", "json"],
+    ]
+    values = {
+        "--graph": g,
+        "--format": "json",
+        "--subset": "s1,s3",
+        "--target": "s1,s2",
+        "--mode": "auto",
+        "--max-subset-size": "4",
+    }
+    for command, (_, _, arguments) in _COMMANDS.items():
+        argv = [command]
+        for flag, options in arguments:
+            argv += [flag] if options.get("action") else [flag, values[flag]]
+        shapes.append(argv)
+    for argv in shapes:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv

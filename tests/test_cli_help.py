@@ -1,9 +1,10 @@
 """Help, usage and argument-error output of the CLI, byte for byte.
 
-``main`` builds only the subcommand parser that its first argument names,
-so a golden file pins stdout, stderr and the exit code of calls that
-argparse answers by itself: help at both levels, missing and unknown
-arguments, and invalid choices.  ``oracle-check`` needs no argument and
+``main`` hands every call that is not well formed to argparse, building
+only the subcommand parser that its first argument names, so a golden file
+pins stdout, stderr and the exit code of calls that argparse answers by
+itself: help at both levels, missing and unknown arguments, and invalid
+choices.  ``oracle-check`` needs no argument and
 runs in full.  Regenerate the golden with
 ``PYTHONPATH=src python tests/test_cli_help.py --write``.
 

@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and the
-test-side reference, ``tests/reference.py``, imports only public names.
+"""Every name a library or test module imports is used in that module, and
+the test-side reference, ``tests/reference.py``, imports only public names.
 
 The package ``__init__`` is skipped: it imports names only to re-export
 them.  A name counts as used when it appears as an identifier anywhere in
@@ -16,6 +16,7 @@ import artinstab
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "artinstab"
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(REFERENCE.parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,9 +40,10 @@ def test_the_scan_sees_a_dead_import():
 
 def test_the_scan_covers_the_library():
     assert {p.name for p in MODULES} >= {"cli.py", "orbit.py", "stability.py", "twist.py"}
+    assert {p.name for p in TESTS} >= {"conftest.py", "reference.py", "test_cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

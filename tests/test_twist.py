@@ -13,7 +13,6 @@ from artinstab import (
     delta_conjugate_set,
     delta_conjugation_map,
     elementary_twist,
-    induced,
     recognize_component,
     standard_graph,
 )
