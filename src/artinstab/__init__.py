@@ -24,7 +24,6 @@ from .classify import (
     is_spherical,
     is_twistable,
     recognize_component,
-    spherical_decomposition,
     standard_graph,
 )
 from .graph import (
@@ -34,9 +33,7 @@ from .graph import (
     VertexSet,
     adjacent,
     components,
-    induced,
     parse_graph,
-    serialize_graph,
     to_dot,
     to_json_dict,
 )
@@ -44,11 +41,9 @@ from .oracle import (
     DihedralElement,
     UnsupportedTypeError,
     WeylElement,
-    expand_delta,
     expand_subset,
     longest_element,
     positive_roots,
-    simple_reflection,
     w0_conjugation_permutation,
 )
 from .orbit import OrbitTable, conjugator, orbit
@@ -72,7 +67,6 @@ from .twist import (
     apply_word,
     delta_automorphism,
     delta_conjugate_set,
-    delta_conjugation_map,
     elementary_twist,
 )
 
@@ -108,11 +102,8 @@ __all__ = [
     "decide_with_applicability",
     "delta_automorphism",
     "delta_conjugate_set",
-    "delta_conjugation_map",
     "elementary_twist",
-    "expand_delta",
     "expand_subset",
-    "induced",
     "initial_tuple",
     "is_spherical",
     "is_twistable",
@@ -121,9 +112,6 @@ __all__ = [
     "parse_graph",
     "positive_roots",
     "recognize_component",
-    "serialize_graph",
-    "simple_reflection",
-    "spherical_decomposition",
     "standard_graph",
     "to_dot",
     "to_json_dict",

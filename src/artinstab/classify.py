@@ -174,21 +174,8 @@ def _recognize_connected(g: CoxeterGraph, Ys: VertexSet) -> TypedComponent | Non
     return None
 
 
-def spherical_decomposition(
-    g: CoxeterGraph, X: Iterable[str]
-) -> list[TypedComponent] | None:
-    """Typed components of X when all are of finite type, else None."""
-    out = []
-    for comp in components(g, X):
-        tc = _recognize_connected(g, comp)
-        if tc is None:
-            return None
-        out.append(tc)
-    return out
-
-
 def is_spherical(g: CoxeterGraph, X: Iterable[str]) -> bool:
-    return spherical_decomposition(g, X) is not None
+    return all(_recognize_connected(g, comp) is not None for comp in components(g, X))
 
 
 def is_twistable(c: TypedComponent) -> bool:

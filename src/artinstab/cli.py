@@ -41,7 +41,8 @@ def _fail(message: str) -> None:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    # one write, so a reader that stops after the text meets no second one
+    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def _load_graph(args) -> CoxeterGraph:

@@ -170,18 +170,6 @@ def to_json_dict(g: CoxeterGraph) -> dict:
     }
 
 
-def serialize_graph(g: CoxeterGraph) -> str:
-    return json.dumps(to_json_dict(g), indent=2, ensure_ascii=False)
-
-
-def induced(g: CoxeterGraph, X: Iterable[str]) -> CoxeterGraph:
-    """The graph on X with labels restricted from g."""
-    Xs = g.subset(X)
-    inside = set(Xs)
-    labels = {(s, t): m for (s, t), m in g.labels.items() if s in inside and t in inside}
-    return CoxeterGraph(Xs, labels)
-
-
 class MaskTable:
     """Subsets of one graph written as int masks, bit i standing for
     ``g.generators[i]``: each vertex's neighbour mask (m >= 3), the

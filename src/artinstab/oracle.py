@@ -112,16 +112,6 @@ def _reflection_matrices(t) -> list[Matrix]:
     return out
 
 
-def simple_reflection(c: TypedComponent, i: int) -> WeylElement:
-    """Reflection matrix for position i (1-based), crystallographic types only."""
-    t = c.type
-    if t.family not in _CRYSTALLOGRAPHIC:
-        raise UnsupportedTypeError(f"{t} has no integer reflection model")
-    if not 1 <= i <= t.rank:
-        raise ValueError(f"position {i} out of range for {t}")
-    return WeylElement(_reflection_matrices(t)[i - 1], (i,))
-
-
 def _is_positive(v: Vector) -> bool:
     return all(x >= 0 for x in v)
 
@@ -252,13 +242,6 @@ def w0_conjugation_permutation(c: TypedComponent) -> dict[int, int]:
     return perm
 
 
-def expand_delta(c: TypedComponent) -> list[str]:
-    """Reduced generator word of the component's Garside element, obtained
-    by mapping the longest element's word through the position labeling."""
-    w0 = longest_element(c)
-    return [c.positions[i - 1] for i in w0.word]
-
-
 def expand_subset(g: CoxeterGraph, V) -> list[str] | None:
     """Concatenated delta word of a (possibly reducible) spherical subset,
     or None when some component's type is outside the oracle's scope."""
@@ -269,7 +252,7 @@ def expand_subset(g: CoxeterGraph, V) -> list[str] | None:
         if tc is None:
             raise ValueError(f"subset is not of spherical type: {list(comp)}")
         try:
-            letters.extend(expand_delta(tc))
+            letters.extend(tc.positions[i - 1] for i in longest_element(tc).word)
         except UnsupportedTypeError:
             return None
     return letters

@@ -86,29 +86,21 @@ def delta_automorphism(c: TypedComponent) -> dict[str, str]:
     return {p[0]: p[1], p[1]: p[0]}  # odd I2
 
 
-def delta_conjugation_map(g: CoxeterGraph, V: Iterable[str]) -> dict[str, str]:
-    """Componentwise delta involution on all of V.  V must be spherical."""
-    out: dict[str, str] = {}
-    for comp in components(g, V):
-        tc = recognize_component(g, comp)
-        if tc is None:
-            raise ValueError(f"subset is not of spherical type: {list(comp)}")
-        out.update(delta_automorphism(tc))
-    return out
+def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> VertexSet:
+    """Image of the set X under conjugation by delta(V), or by its inverse:
+    the action is an involution, so both give the same image.
 
-
-def delta_conjugate_set(
-    g: CoxeterGraph, V: Iterable[str], X: Iterable[str], sign: int = 1
-) -> VertexSet:
-    """Image of the set X under conjugation by delta(V)^sign.
-
-    Defined only when every element of X lies in V or commutes with all of V;
-    the sign never changes the image (the action is an involution) but is
-    carried by produced words.
+    Defined only when every element of X lies in V or commutes with all of V,
+    and V is spherical.
     """
     Vs = g.subset(V)
     Xs = g.subset(X)
-    tau = delta_conjugation_map(g, Vs)
+    tau: dict[str, str] = {}
+    for comp in components(g, Vs):
+        tc = recognize_component(g, comp)
+        if tc is None:
+            raise ValueError(f"subset is not of spherical type: {list(comp)}")
+        tau.update(delta_automorphism(tc))
     inside = set(Vs)
     out = []
     for x in Xs:
@@ -274,7 +266,7 @@ def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSe
     cur = g.subset(X)
     for i, factor in enumerate(w):
         try:
-            cur = delta_conjugate_set(g, factor.subset, cur, factor.sign)
+            cur = delta_conjugate_set(g, factor.subset, cur)
         except DeltaActionUndefined as exc:
             raise DeltaActionUndefined(exc.vertex, exc.subset, i) from exc
     return cur

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
 
-from artinstab import INFINITY, CoxeterGraph
+from artinstab import (
+    INFINITY,
+    CoxeterGraph,
+    components,
+    delta_automorphism,
+    recognize_component,
+    to_json_dict,
+)
 
 LABEL_CHOICES = (2, 3, 4, 5, INFINITY)
 
@@ -14,6 +22,20 @@ LABEL_WEIGHTS = (2, 2, 2, 3, 3, 3, 3, 4, 5, INFINITY)
 def build_graph(names: str | list[str], *relations) -> CoxeterGraph:
     """Small helper: build_graph("abc", ("a","b",3), ...)."""
     return CoxeterGraph.build(list(names), list(relations))
+
+
+def graph_text(g: CoxeterGraph) -> str:
+    """The graph in the input file format, as ``validate --format json``
+    prints it."""
+    return json.dumps(to_json_dict(g), indent=2, ensure_ascii=False)
+
+
+def delta_map(g: CoxeterGraph, V) -> dict[str, str]:
+    """The componentwise delta involution on a spherical subset V."""
+    out: dict[str, str] = {}
+    for comp in components(g, V):
+        out.update(delta_automorphism(recognize_component(g, comp)))
+    return out
 
 
 def random_graph(

@@ -9,10 +9,10 @@ from artinstab import (
     INFINITY,
     CoxeterGraph,
     classify_group,
+    components,
     is_spherical,
     is_twistable,
     recognize_component,
-    spherical_decomposition,
     standard_graph,
 )
 
@@ -300,8 +300,9 @@ def test_recognition_rejects_cycles():
 def test_is_spherical_examples():
     a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
     assert is_spherical(a3, ())
-    assert spherical_decomposition(a3, ()) == []
-    dec = spherical_decomposition(a3, ("a", "c"))
+    assert components(a3, ()) == []
+    assert is_spherical(a3, ("a", "c"))
+    dec = [recognize_component(a3, comp) for comp in components(a3, ("a", "c"))]
     assert [str(tc.type) for tc in dec] == ["A1", "A1"]
     inf = build_graph("ab", ("a", "b", INFINITY))
     assert not is_spherical(inf, ("a", "b"))

@@ -215,6 +215,44 @@ def test_orbit_expand_words_equals_per_factor_expansion(capsys, tmp_path):
     assert len({tuple(f["delta_of"]) for f in factors}) * 10 < len(factors)
 
 
+class WriteLog(io.StringIO):
+    """A stdout stand-in that records each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--graph", "A3"],
+        ["classify", "--graph", "A3"],
+        ["type", "--graph", "A3", "--subset", "s1,s2"],
+        ["orbit", "--graph", "A3", "--subset", "s1,s2", "--expand-words"],
+        ["conjugate", "--graph", "A3", "--subset", "s1,s3", "--target", "s1,s2"],
+        ["stability", "--graph", "A3", "--subset", "s1,s3"],
+        ["oracle-check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_is_one_write(tmp_path, argv):
+    # unbuffered, a second write can meet a reader that has already left
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(to_json_dict(standard_graph("A", 3))))
+    out = WriteLog()
+    with redirect_stdout(out):
+        code = main([str(path) if a == "A3" else a for a in argv] + ["--format", "json"])
+    assert code == 0
+    assert len(out.calls) == 1
+    assert out.calls[0].endswith("\n")
+    json.loads(out.calls[0])
+
+
 def test_stability_json_and_exit_codes(capsys, e7_file, square_file):
     code, out, _ = run(
         capsys,

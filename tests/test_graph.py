@@ -7,14 +7,12 @@ from artinstab import (
     GraphError,
     adjacent,
     components,
-    induced,
     parse_graph,
-    serialize_graph,
     standard_graph,
     to_dot,
 )
 
-from conftest import build_graph
+from conftest import build_graph, graph_text
 
 
 def test_parse_basic_path_fills_defaults():
@@ -53,8 +51,6 @@ def test_labels_store_only_non_commuting_pairs():
     assert g.label("a", "b") == g.label("b", "a") == 2
     assert not g.has_edge("a", "b")
     assert build_graph("abc", ("a", "b", 3), ("b", "c", 2)).labels == {("a", "b"): 3}
-    assert induced(g, ("a", "b")).labels == {}
-    assert induced(g, ("b", "c")).labels == {("b", "c"): 5}
 
 
 def test_sparse_labels_serialize_as_before():
@@ -62,7 +58,7 @@ def test_sparse_labels_serialize_as_before():
         '{"generators": ["b", "a", "c"], "relations": [["a", "b", 2], ["b", "c", 5]], '
         '"infinite_by_default": true}'
     )
-    assert json.loads(serialize_graph(g)) == {
+    assert json.loads(graph_text(g)) == {
         "generators": ["a", "b", "c"],
         "relations": [["a", "c", 0], ["b", "c", 5]],
         "infinite_by_default": False,
@@ -71,7 +67,7 @@ def test_sparse_labels_serialize_as_before():
         'graph coxeter {\n  "a";\n  "b";\n  "c";\n'
         '  "a" -- "c" [label="∞"];\n  "b" -- "c" [label="5"];\n}\n'
     )
-    assert parse_graph(serialize_graph(g)).labels == g.labels
+    assert parse_graph(graph_text(g)).labels == g.labels
 
 
 @pytest.mark.parametrize("label", ["false", "true", "0.0", "1e400", "-1e400", "3.0", "2.5", '"0"', "null"])
@@ -114,37 +110,9 @@ def test_roundtrip_preserves_label_map():
     g = parse_graph(
         '{"generators": ["c", "a", "b"], "relations": [["a", "b", 5], ["a", "c", 0]]}'
     )
-    again = parse_graph(serialize_graph(g))
+    again = parse_graph(graph_text(g))
     assert again.labels == g.labels
     assert again.generators == g.generators
-
-
-def test_induced_restriction():
-    a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
-    sub = induced(a3, ("a", "c"))
-    assert sub.generators == ("a", "c")
-    assert sub.label("a", "c") == 2
-    empty_ok = induced(a3, ())
-    assert empty_ok.generators == ()
-
-
-def test_induced_consistency_with_nested_subsets():
-    e7 = standard_graph("E", 7)
-    outer = induced(e7, [f"s{i}" for i in range(1, 7)])
-    inner = induced(e7, ["s1", "s2", "s3"])
-    assert induced(outer, ["s1", "s2", "s3"]).labels == inner.labels
-
-
-def test_induced_e7_gives_e6_diagram():
-    e7 = standard_graph("E", 7)
-    e6 = standard_graph("E", 6)
-    assert induced(e7, [f"s{i}" for i in range(1, 7)]).labels == e6.labels
-
-
-def test_induced_unknown_vertex():
-    a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
-    with pytest.raises(ValueError, match="unknown generator"):
-        induced(a3, ("a", "z"))
 
 
 def test_subset_rejects_unknown_generator_as_graph_error():
@@ -194,8 +162,8 @@ def test_to_dot():
 
 def test_serialization_is_sorted_and_stable():
     g = build_graph("dcba", ("d", "a", 4), ("c", "b", 3))
-    first = serialize_graph(g)
-    second = serialize_graph(parse_graph(first))
+    first = graph_text(g)
+    second = graph_text(parse_graph(first))
     assert first == second
     data = json.loads(first)
     assert data["generators"] == ["a", "b", "c", "d"]

@@ -1,12 +1,20 @@
-"""Every name a library or test module imports is used in that module, and
-the test-side reference, ``tests/reference.py``, imports only public names.
+"""Every name a library or test module imports is used in that module, the
+test-side reference, ``tests/reference.py``, imports only public names,
+and every public function has a caller outside the tests.
 
 The package ``__init__`` is skipped: it imports names only to re-export
 them.  A name counts as used when it appears as an identifier anywhere in
 the module, annotations included.
+
+A public function, a callable in ``artinstab.__all__`` that is not a class,
+has a caller when a library module other than its own names it (as a name
+or an attribute), when the reference imports it, or when the benchmark
+under ``perfbench/`` names it, as ``lib.<name>`` or in ``tracer.TARGETS``.
+Classes, constants and type aliases are exempt.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,6 +25,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "artinstab"
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(REFERENCE.parent.glob("*.py"))
+PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,3 +67,65 @@ def test_the_reference_imports_only_public_names():
             assert node.module == "artinstab"
             names |= {alias.name for alias in node.names}
     assert names and names <= set(artinstab.__all__), names - set(artinstab.__all__)
+
+
+def _identifiers(tree) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _benchmark_names(tree) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "lib":
+            out.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            out |= {attribute for _, attribute, _ in ast.literal_eval(node.value)}
+    return out
+
+
+def uncalled_outside_tests(
+    functions: dict[str, str], library: dict[str, str], reference: str, perfbench: list[str]
+) -> list[str]:
+    """The names in ``functions`` (name -> its own module) that no other
+    module in ``library`` (module -> source) names, that ``reference``
+    does not import and that no ``perfbench`` source names."""
+    named_in = {module: _identifiers(ast.parse(source)) for module, source in library.items()}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(reference))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    benchmark = set().union(*(_benchmark_names(ast.parse(source)) for source in perfbench))
+    return sorted(
+        name
+        for name, own in functions.items()
+        if name not in imported | benchmark
+        and not any(name in names for module, names in named_in.items() if module != own)
+    )
+
+
+def test_the_scan_sees_a_test_only_function():
+    library = {
+        "graph": "def parse(): pass\ndef walk(): pass\ndef own(): pass\nown()\n",
+        "cli": "from . import graph\nfrom .graph import parse\n\ndef main():\n    return parse(), graph.walk\n",
+    }
+    functions = dict.fromkeys(["parse", "walk", "own", "dead", "timed", "called", "ref"], "graph")
+    reference = "from artinstab import ref\n"
+    perfbench = ["TARGETS = [('graph', 'timed', 'hot')]\n", "def run(lib):\n    return lib.called()\n"]
+    assert uncalled_outside_tests(functions, library, reference, perfbench) == ["dead", "own"]
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    objects = {name: getattr(artinstab, name) for name in artinstab.__all__}
+    functions = {
+        name: obj.__module__.rpartition(".")[2]
+        for name, obj in objects.items()
+        if inspect.isfunction(obj)
+    }
+    assert {"components", "decide_stability", "orbit"} <= set(functions)
+    library = {p.stem: p.read_text() for p in MODULES}
+    perfbench = [p.read_text() for p in PERFBENCH]
+    assert perfbench
+    assert uncalled_outside_tests(functions, library, REFERENCE.read_text(), perfbench) == []

@@ -6,12 +6,10 @@ from artinstab import (
     UnsupportedTypeError,
     WeylElement,
     delta_automorphism,
-    expand_delta,
     expand_subset,
     longest_element,
     positive_roots,
     recognize_component,
-    simple_reflection,
     standard_graph,
     w0_conjugation_permutation,
 )
@@ -64,27 +62,26 @@ def component_of(family, n=0, m=0):
 
 def test_simple_reflection_a2():
     _, c = component_of("A", 2)
-    s1 = simple_reflection(c, 1)
+    s1 = _reflection_matrices(c.type)[0]
     # s1 negates its own simple root and adds it to the adjacent one
-    assert [row[0] for row in s1.matrix] == [-1, 0]
-    assert [row[1] for row in s1.matrix] == [1, 1]
+    assert [row[0] for row in s1] == [-1, 0]
+    assert [row[1] for row in s1] == [1, 1]
 
 
 def test_simple_reflection_is_an_involution():
     for family, n, m in [("A", 4, 0), ("B", 3, 0), ("D", 5, 0), ("F", 4, 0), ("E", 6, 0)]:
         _, c = component_of(family, n, m)
-        for i in range(1, c.type.rank + 1):
-            s = simple_reflection(c, i).matrix
+        for s in _reflection_matrices(c.type):
             assert _matmul(s, s) == _identity(c.type.rank)
 
 
 def test_simple_reflection_unsupported_types():
     _, h3 = component_of("H", 3)
     with pytest.raises(UnsupportedTypeError):
-        simple_reflection(h3, 1)
+        _reflection_matrices(h3.type)
     _, i25 = component_of("I2", m=5)
     with pytest.raises(UnsupportedTypeError):
-        simple_reflection(i25, 1)
+        _reflection_matrices(i25.type)
 
 
 # ---------------------------------------------------------- longest element
@@ -134,9 +131,10 @@ def test_longest_element_word_multiplies_to_the_matrix():
     for family, n in CRYSTALLOGRAPHIC_UP_TO_RANK_10:
         _, c = component_of(family, n)
         w0 = longest_element(c)
+        matrices = _reflection_matrices(c.type)
         acc = _identity(n)
         for i in w0.word:
-            acc = _matmul(acc, simple_reflection(c, i).matrix)
+            acc = _matmul(acc, matrices[i - 1])
         assert acc == w0.matrix, c.type
         assert (w0.matrix, w0.word) == _greedy_descent(c.type), c.type
         assert len(w0.word) == len(positive_roots(c)), c.type
@@ -199,13 +197,13 @@ def test_oracle_agrees_with_twist_automorphism():
 
 
 def test_expand_delta_words():
-    _, a1 = component_of("A", 1)
-    assert expand_delta(a1) == ["s1"]
-    _, a2 = component_of("A", 2)
-    word = expand_delta(a2)
+    g, a1 = component_of("A", 1)
+    assert expand_subset(g, a1.vertices) == ["s1"]
+    g, a2 = component_of("A", 2)
+    word = expand_subset(g, a2.vertices)
     assert len(word) == 3 and set(word) == {"s1", "s2"}
-    _, i25 = component_of("I2", m=5)
-    word = expand_delta(i25)
+    g, i25 = component_of("I2", m=5)
+    word = expand_subset(g, i25.vertices)
     assert word == ["s1", "s2", "s1", "s2", "s1"]
 
 
@@ -213,7 +211,7 @@ def test_expand_delta_maps_through_positions():
     # same diagram with scrambled names: letters must come from the subset
     g = build_graph("qp", ("q", "p", 3))
     c = recognize_component(g, ("p", "q"))
-    word = expand_delta(c)
+    word = expand_subset(g, c.vertices)
     assert len(word) == 3 and set(word) == {"p", "q"}
 
 

@@ -11,13 +11,12 @@ from artinstab import (
     components,
     delta_automorphism,
     delta_conjugate_set,
-    delta_conjugation_map,
     elementary_twist,
     recognize_component,
     standard_graph,
 )
 
-from conftest import build_graph
+from conftest import build_graph, delta_map
 
 
 # ------------------------------------------------------- delta automorphism
@@ -86,8 +85,6 @@ def test_delta_conjugate_set_basic():
     # non-twistable component acts trivially
     b2 = build_graph("ab", ("a", "b", 4))
     assert delta_conjugate_set(b2, ("a", "b"), ("a",)) == ("a",)
-    # sign does not change the set image
-    assert delta_conjugate_set(a3, ("a", "b"), ("a",), sign=-1) == ("b",)
 
 
 def test_delta_conjugate_set_rejects_adjacent_outsiders():
@@ -102,10 +99,15 @@ def test_delta_conjugate_set_requires_spherical():
         delta_conjugate_set(g, ("a", "b"), ("a",))
 
 
-def test_delta_conjugation_map_is_componentwise():
+def test_delta_conjugate_set_is_componentwise():
     a3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
-    assert delta_conjugation_map(a3, ("a", "c")) == {"a": "a", "c": "c"}
-    assert delta_conjugation_map(a3, ("a", "b", "c")) == {"a": "c", "b": "b", "c": "a"}
+    # {a, c} is A1 + A1: each component is fixed
+    assert delta_conjugate_set(a3, ("a", "c"), ("a",)) == ("a",)
+    assert delta_conjugate_set(a3, ("a", "c"), ("c",)) == ("c",)
+    # {a, b, c} is A3: a and c swap, b is fixed
+    assert delta_conjugate_set(a3, ("a", "b", "c"), ("a",)) == ("c",)
+    assert delta_conjugate_set(a3, ("a", "b", "c"), ("b",)) == ("b",)
+    assert delta_conjugate_set(a3, ("a", "b", "c"), ("c",)) == ("a",)
 
 
 # ------------------------------------------------------- elementary twists
@@ -144,7 +146,7 @@ def test_twist_preserves_size_and_diagram_shape():
     Y = ("s1", "s2", "s3", "s4", "s6")
     Z, factor = elementary_twist(e7, Y, "s5")
     assert len(Z) == len(Y)
-    tau = delta_conjugation_map(e7, factor.subset)
+    tau = delta_map(e7, factor.subset)
     image = {tau.get(v, v) for v in Y}
     assert image == set(Z)
     for a in Y:
