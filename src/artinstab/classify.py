@@ -5,7 +5,9 @@ E_6, E_7, E_8, F_4, H_3, H_4 and the dihedral types I_2(m), 5 <= m < infinity.
 ``recognize_component`` matches a connected induced subgraph against this
 catalog and returns a canonical position labeling; everything downstream
 (twist automorphisms, the Weyl-group oracle) is phrased in terms of those
-positions.
+positions.  One recognizer, ``_recognize``, does the matching on the masks
+of a ``graph.MaskTable``; ``recognize_component``, ``is_spherical``,
+``classify_group`` and ``twist.MaskTwists.typed`` all call it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .graph import (
     MaskTable,
     VertexSet,
     _bits,
-    _pair,
-    components,
 )
 
 
@@ -57,15 +57,15 @@ class TypedComponent:
         return tuple(sorted(self.positions))
 
 
-def _path_order(adj: dict[str, list[str]], start: str, n: int) -> list[str]:
-    order = [start]
-    prev: str | None = None
-    cur = start
-    while len(order) < n:
-        nxt = [w for w in adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
+def _path(nbrs, start: int, n: int) -> list[int]:
+    """The bit indices of the n vertices of a path, from its end vertex
+    start; nbrs[i] is the neighbour mask of i within the path."""
+    path, prev = [start], 0
+    while len(path) < n:
+        here = path[-1]
+        path.append((nbrs[here] & ~prev).bit_length() - 1)
+        prev = 1 << here
+    return path
 
 
 def recognize_component(g: CoxeterGraph, Y: Iterable[str]) -> TypedComponent | None:
@@ -75,83 +75,69 @@ def recognize_component(g: CoxeterGraph, Y: Iterable[str]) -> TypedComponent | N
     ValueError when Y is not connected in the graph.
     """
     Ys = g.subset(Y)
-    if components(g, Ys) != [Ys]:
+    table = MaskTable(g)
+    Ym = table.mask(Ys)
+    if not Ym or table.flood(Ym & -Ym, Ym) != Ym:
         raise ValueError(f"subset is not connected: {Ys!r}")
-    return _recognize_connected(g, Ys)
+    return _recognize(table, Ym)
 
 
-def _recognize_connected(g: CoxeterGraph, Ys: VertexSet) -> TypedComponent | None:
-    """``recognize_component`` for a canonical tuple already known to be
-    connected, without checking either."""
-    n = len(Ys)
+def _recognize(table: MaskTable, comp: int) -> TypedComponent | None:
+    """``recognize_component`` for a mask of table already known to be
+    connected, without checking it.  Every catalog diagram is a tree
+    without infinite labels; its shape and the few labels other than 3
+    pick the type, and positions are found by walking the tree in bit
+    order, which is the order of generator names."""
+    gens = table.gens
+    verts = list(_bits(comp))
+    n = len(verts)
+
+    def label(a: int, b: int) -> int:
+        return 3 if table.three[a] >> b & 1 else table.g.label(gens[a], gens[b])
+
+    def typed(family: str, seq, m: int = 0) -> TypedComponent:
+        return TypedComponent(IrreducibleType(family, n, m), tuple(gens[i] for i in seq))
+
     if n == 1:
-        return TypedComponent(IrreducibleType("A", 1), Ys)
-
-    lab: dict[tuple[str, str], int] = {}
-    adj: dict[str, list[str]] = {v: [] for v in Ys}
-    edges = 0
-    for i, s in enumerate(Ys):
-        for t in Ys[i + 1 :]:
-            m = g.label(s, t)
-            if m == 2:
-                continue
-            if m == INFINITY:
-                return None
-            edges += 1
-            adj[s].append(t)
-            adj[t].append(s)
-            lab[_pair(s, t)] = int(m)
-    if edges != n - 1:
-        return None  # every catalog diagram is a tree
-
+        return typed("A", verts)
+    near = {i: table.nbrs[i] & comp for i in verts}
+    deg = {i: mask.bit_count() for i, mask in near.items()}
+    if any(table.inf[i] & comp for i in verts) or sum(deg.values()) != 2 * (n - 1):
+        return None
+    simply_laced = all(table.three[i] & comp == near[i] for i in verts)
     if n == 2:
-        m = lab[_pair(Ys[0], Ys[1])]
+        m = label(*verts)
         if m == 3:
-            return TypedComponent(IrreducibleType("A", 2), Ys)
-        if m == 4:
-            return TypedComponent(IrreducibleType("B", 2), Ys)
-        return TypedComponent(IrreducibleType("I2", 2, m), Ys)
+            return typed("A", verts)
+        return typed("B", verts) if m == 4 else typed("I2", verts, m)
 
-    deg = {v: len(adj[v]) for v in Ys}
     if max(deg.values()) > 3:
         return None
-    branches = [v for v in Ys if deg[v] == 3]
+    branches = [i for i in verts if deg[i] == 3]
 
     if not branches:
-        leaves = sorted(v for v in Ys if deg[v] == 1)
-        seq = _path_order(adj, leaves[0], n)
-        lseq = [lab[_pair(seq[i], seq[i + 1])] for i in range(n - 1)]
-        if all(m == 3 for m in lseq):
-            return TypedComponent(IrreducibleType("A", n), tuple(seq))
+        seq = _path(near, next(i for i in verts if deg[i] == 1), n)
+        if simply_laced:
+            return typed("A", seq)
+        lseq = [label(a, b) for a, b in zip(seq, seq[1:])]
         if n == 4 and lseq == [3, 4, 3]:
-            return TypedComponent(IrreducibleType("F", 4), tuple(seq))
-        others = sorted(set(lseq) - {3})
-        if others == [4] and lseq.count(4) == 1 and 4 in (lseq[0], lseq[-1]):
-            if lseq[-1] == 4:
-                seq.reverse()
-            return TypedComponent(IrreducibleType("B", n), tuple(seq))
-        if (
-            n in (3, 4)
-            and others == [5]
-            and lseq.count(5) == 1
-            and 5 in (lseq[0], lseq[-1])
-        ):
-            if lseq[-1] == 5:
-                seq.reverse()
-            return TypedComponent(IrreducibleType("H", n), tuple(seq))
+            return typed("F", seq)
+        others = set(lseq) - {3}
+        m = others.pop() if len(others) == 1 else 0
+        if (m == 4 or (m == 5 and n in (3, 4))) and lseq.count(m) == 1 and m in (lseq[0], lseq[-1]):
+            return typed("B" if m == 4 else "H", seq[::-1] if lseq[-1] == m else seq)
         return None
 
-    if len(branches) > 1 or any(m != 3 for m in lab.values()):
+    if len(branches) > 1 or not simply_laced:
         return None
     b = branches[0]
-    arms: list[list[str]] = []
-    for x in sorted(adj[b]):
-        arm = [x]
-        prev, cur = b, x
-        while deg[cur] == 2:
-            nxt = [w for w in adj[cur] if w != prev][0]
-            arm.append(nxt)
-            prev, cur = cur, nxt
+    arms: list[list[int]] = []
+    for x in _bits(near[b]):
+        arm, prev = [x], 1 << b
+        while deg[arm[-1]] == 2:
+            here = arm[-1]
+            arm.append((near[here] & ~prev).bit_length() - 1)
+            prev = 1 << here
         arms.append(arm)
     arms.sort(key=len)
     lens = [len(a) for a in arms]
@@ -159,23 +145,23 @@ def _recognize_connected(g: CoxeterGraph, Ys: VertexSet) -> TypedComponent | Non
     if lens[0] == 1 and lens[1] == 1:
         if n == 4:
             a, c, d = sorted(arm[0] for arm in arms)
-            return TypedComponent(IrreducibleType("D", 4), (a, c, b, d))
+            return typed("D", (a, c, b, d))
         prongs = sorted((arms[0][0], arms[1][0]))
-        return TypedComponent(
-            IrreducibleType("D", n), (prongs[0], prongs[1], b, *arms[2])
-        )
+        return typed("D", (*prongs, b, *arms[2]))
     if lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
         if lens[2] == 2 and arms[2][-1] < arms[1][-1]:
             arms[1], arms[2] = arms[2], arms[1]
         short, mid, long = arms
-        return TypedComponent(
-            IrreducibleType("E", n), (short[0], mid[1], mid[0], b, *long)
-        )
+        return typed("E", (short[0], mid[1], mid[0], b, *long))
     return None
 
 
 def is_spherical(g: CoxeterGraph, X: Iterable[str]) -> bool:
-    return all(_recognize_connected(g, comp) is not None for comp in components(g, X))
+    table = MaskTable(g)
+    return all(
+        _recognize(table, comp) is not None
+        for comp in table.components(table.mask(g.subset(X)))
+    )
 
 
 def is_twistable(c: TypedComponent) -> bool:
@@ -282,11 +268,7 @@ def _affine_family(table: MaskTable) -> str | None:
         return f"A~{n - 1}" if all(m == 3 for m in g.labels.values()) else None
     leaves = [i for i, d in enumerate(deg) if d == 1]
     if len(leaves) == 2 and deg.count(2) == n - 2:
-        path, prev = [leaves[0]], 0
-        while len(path) < n:
-            here = path[-1]
-            path.append((nbrs[here] & ~prev).bit_length() - 1)
-            prev = 1 << here
+        path = _path(nbrs, leaves[0], n)
         lseq = [g.label(table.gens[a], table.gens[b]) for a, b in zip(path, path[1:])]
         if lseq[0] == 4 and lseq[-1] == 4 and all(m == 3 for m in lseq[1:-1]):
             return f"C~{n - 1}"
@@ -305,14 +287,11 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
     n = len(table.gens)
     full = (1 << n) - 1
     # the finite-label masks (m = 2 included) and the finite labels m >= 3
-    fin = [full & ~(1 << i) for i in range(n)]
+    fin = [full & ~(1 << i) & ~inf for i, inf in enumerate(table.inf)]
     finite: list[dict[int, int]] = [{} for _ in range(n)]
     for (s, t), m in g.labels.items():
-        i, j = table.index[s], table.index[t]
-        if m == INFINITY:
-            fin[i] &= ~(1 << j)
-            fin[j] &= ~(1 << i)
-        else:
+        if m != INFINITY:
+            i, j = table.index[s], table.index[t]
             finite[i][j] = finite[j][i] = m
 
     types: dict[int, TypedComponent | None] = {}
@@ -322,7 +301,7 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
         out = []
         for comp in table.components(X):
             if comp not in types:
-                types[comp] = _recognize_connected(g, table.names(comp))
+                types[comp] = _recognize(table, comp)
             if types[comp] is None:
                 return None
             out.append(types[comp])

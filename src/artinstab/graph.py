@@ -8,7 +8,10 @@ adjacent when m >= 3 (infinity included); this is the adjacency used by
 every algorithm in this package.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share between threads.
+function, so everything here is safe to share between threads.  The
+searches and the recognizer work on ``MaskTable``, the one per-call form
+of a graph as int masks: for each vertex the masks of its neighbours, of
+its label-3 edges and of its infinite edges.
 """
 
 from __future__ import annotations
@@ -172,25 +175,36 @@ def to_json_dict(g: CoxeterGraph) -> dict:
 
 class MaskTable:
     """Subsets of one graph written as int masks, bit i standing for
-    ``g.generators[i]``: each vertex's neighbour mask (m >= 3), the
-    conversions to and from names, and components by flooding.  Built per
-    call and dropped with it."""
+    ``g.generators[i]``: for each vertex, the masks of its neighbours
+    (m >= 3), of those joined to it by m = 3 and of those by m = infinity;
+    the conversions to and from names, and components by flooding.  Built
+    per call and dropped with it."""
 
     def __init__(self, g: CoxeterGraph):
         self.g = g
         self.gens = g.generators
         self.index = {v: i for i, v in enumerate(self.gens)}
-        self.nbrs = [0] * len(self.gens)
-        for (s, t), m in g.labels.items():
-            if m >= 3:
-                self.nbrs[self.index[s]] |= 1 << self.index[t]
-                self.nbrs[self.index[t]] |= 1 << self.index[s]
+        n = len(self.gens)
+        self.nbrs, self.three, self.inf = [0] * n, [0] * n, [0] * n
+        for (s, t), m in g.labels.items():  # every stored label is >= 3
+            i, j = self.index[s], self.index[t]
+            self.nbrs[i] |= 1 << j
+            self.nbrs[j] |= 1 << i
+            if m == 3 or m == INFINITY:
+                kind = self.three if m == 3 else self.inf
+                kind[i] |= 1 << j
+                kind[j] |= 1 << i
 
     def mask(self, names: Iterable[str]) -> int:
         return sum(1 << self.index[v] for v in names)
 
     def names(self, mask: int) -> VertexSet:
-        return tuple(self.gens[i] for i in _bits(mask))
+        gens, out = self.gens, []
+        while mask:
+            low = mask & -mask
+            out.append(gens[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def flood(self, seed: int, within: int, nbrs: list[int] | None = None) -> int:
         """The component of ``within`` containing the bits of seed, joined

@@ -5,10 +5,11 @@ twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the generator
 order and convert to name tuples only for their results; their twist steps
-come from the per-call tables of ``twist.MaskTwists``.  The same search
-engine, ``bfs_closure``, also runs the component-tuple closures of the
-stability decision.  The search keeps parent pointers; words are built
-only for reported states.
+come from the per-call tables of ``twist.MaskTwists``, and a successor is
+the subset XOR a step's move.  The same search engine, ``bfs_closure``,
+also runs the component-tuple closures of the stability decision.  The
+search keeps parent pointers; words are built only for reported states,
+each from its parent's word by one O(1) extension.
 """
 
 from __future__ import annotations
@@ -122,15 +123,16 @@ def _mask_twists(
     tw: MaskTwists,
 ) -> Callable[[int, TwistFactor | None], list[tuple[int, TwistFactor]]]:
     """The elementary twist successors of subset masks: the component C of
-    Y + t containing t is replaced by C minus the image of t.  The step
-    whose factor is back, the twist of the same C, leads back to where Y
-    was found from."""
+    Y + t containing t is replaced by C minus the image of t, so t enters
+    and its image leaves, Y ^ move.  A move of 0 (the image of t is t)
+    leads back to Y, and the step whose factor is back, the twist of the
+    same C, to where Y was found from: both are left out."""
 
     def successors(Y: int, back: TwistFactor | None) -> list[tuple[int, TwistFactor]]:
         return [
-            ((Y & ~comp) | (comp & ~images.perm[tbit]), factor)
-            for tbit, comp, images, factor in tw.steps(Y)
-            if factor is not back
+            (Y ^ move, factor)
+            for _, move, _, factor in tw.steps(Y)
+            if move and factor is not back
         ]
 
     return successors

@@ -4,19 +4,22 @@ Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
 each twistable component (and fixes everything else).  ``MaskTwists`` is
 the one place that computes an elementary twist: on subsets written as int
-masks, with each component recognized once per call.  Every search runs on
-it, and ``elementary_twist`` is a thin wrapper over it on name tuples.
-Words of signed factors are kept symbolic; expanding a factor into
-generator letters is delegated to the oracle module and is optional.
+masks, with each component recognized once per call.  The twist at t adds
+t and removes its image, so each step carries that pair of bits as its
+move, and the twisted subset is the subset XOR the move.  Every search
+runs on it, and ``elementary_twist`` is a thin wrapper over it on name
+tuples.  Words of signed factors are kept symbolic, and a word extended by
+one factor shares the word it extends; expanding a factor into generator
+letters is delegated to the oracle module and is optional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .classify import TypedComponent, _recognize_connected, is_twistable, recognize_component
+from .classify import TypedComponent, _recognize, is_twistable, recognize_component
 from .graph import CoxeterGraph, MaskTable, VertexSet, _bits, components
 
 
@@ -45,23 +48,57 @@ class TwistFactor:
         return {"delta_of": list(self.subset), "sign": self.sign}
 
 
-@dataclass(frozen=True)
 class ConjugatorWord:
-    """Formal product of signed Garside factors, applied left to right."""
+    """Formal product of signed Garside factors, applied left to right.
 
-    factors: tuple[TwistFactor, ...] = ()
+    ``extended`` is O(1): the new word keeps the word it extends as its
+    prefix, so the words of one search share their prefixes, and
+    ``factors`` joins them on each read.  Equality, hashing and ``repr``
+    go by ``factors`` alone, however a word was built.  A word is never
+    changed after construction."""
+
+    __slots__ = ("_prefix", "_tail", "_len")  # the factors: prefix, then tail
+
+    def __init__(self, factors: Iterable[TwistFactor] = ()):
+        self._prefix: ConjugatorWord | None = None
+        self._tail = tuple(factors)
+        self._len = len(self._tail)
 
     def extended(self, factor: TwistFactor) -> ConjugatorWord:
-        return ConjugatorWord(self.factors + (factor,))
+        word = object.__new__(ConjugatorWord)
+        word._prefix, word._tail, word._len = self, (factor,), self._len + 1
+        return word
+
+    @property
+    def factors(self) -> tuple[TwistFactor, ...]:
+        parts, word = [], self
+        while word is not None:
+            parts.append(word._tail)
+            word = word._prefix
+        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(reversed(parts)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConjugatorWord):
+            return NotImplemented
+        return self._len == other._len and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"ConjugatorWord(factors={self.factors!r})"
+
+    def __reduce__(self):
+        return ConjugatorWord, (self.factors,)
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return self._len
 
     def __iter__(self) -> Iterator[TwistFactor]:
         return iter(self.factors)
 
     def __bool__(self) -> bool:
-        return bool(self.factors)
+        return self._len > 0
 
     def to_json_list(self) -> list[dict]:
         return [f.to_json_dict() for f in self.factors]
@@ -133,8 +170,10 @@ class Images(dict):
         return out
 
 
-# A twist step of a subset mask: the bit of t, the component of the subset
-# plus t containing t, and that component's images and factor.
+# A twist step of a subset mask Y at t: the bit of t; the move, the bits of
+# t and of its image, so that the twisted subset is Y ^ move (0 when the
+# image of t is t); and the images and factor of the twist of the
+# component of Y + t containing t.
 MaskStep = tuple[int, int, Images, TwistFactor]
 
 
@@ -155,10 +194,10 @@ class MaskTwists(MaskTable):
         """The recognized type of a component mask, kept for the call.  The
         mask must be connected, as every flood is."""
         if comp not in self.types:
-            self.types[comp] = _recognize_connected(self.g, self.names(comp))
+            self.types[comp] = _recognize(self, comp)
         return self.types[comp]
 
-    def _recognize(self, comp: int) -> tuple[Images, TwistFactor] | None:
+    def _twist(self, comp: int) -> tuple[Images, TwistFactor] | None:
         """The twist of a component mask, kept for the call: the involution
         that conjugation by its Garside element induces on its bits, and
         that factor; None unless the component is twistable (a component of
@@ -176,8 +215,8 @@ class MaskTwists(MaskTable):
         """The step at t whose component of Y + t is comp, None when comp is
         not twistable."""
         twists = self.twists
-        twist = twists[comp] if comp in twists else self._recognize(comp)
-        return None if twist is None else (tbit, comp, *twist)
+        twist = twists[comp] if comp in twists else self._twist(comp)
+        return None if twist is None else (tbit, tbit ^ twist[0].perm[tbit], *twist)
 
     def step_at(self, Y: int, t: str) -> MaskStep | None:
         """The step of the subset mask Y at the generator t, None when the
@@ -192,34 +231,35 @@ class MaskTwists(MaskTable):
     def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
         """(the border of the component mask C, the steps at each border bit
         t when t is adjacent to C alone, so that C + t is the component of
-        t), kept for the call."""
-        found = self.borders.get(C)
-        if found is None:
-            nbrs = self.nbrs
-            border = 0
-            for i in _bits(C):
-                border |= nbrs[i]
-            border &= ~C
-            steps = []
-            near = border
-            while near:
-                tbit = near & -near
-                near ^= tbit
-                step = self._step(tbit, C | tbit)
-                if step is not None:
-                    steps.append(step)
-            self.borders[C] = found = border, steps
+        t), kept for the call in ``borders``."""
+        nbrs = self.nbrs
+        border = 0
+        for i in _bits(C):
+            border |= nbrs[i]
+        border &= ~C
+        steps = []
+        near = border
+        while near:
+            tbit = near & -near
+            near ^= tbit
+            step = self._step(tbit, C | tbit)
+            if step is not None:
+                steps.append(step)
+        self.borders[C] = found = border, steps
         return found
 
     def steps(self, Y: int) -> list[MaskStep]:
-        """(bit of t, the component C of Y + t containing t, the twist of C)
-        for each t adjacent to Y whose C is twistable, in increasing bit
-        order, the order of ``adjacent``.  C is t plus the components of Y
-        adjacent to t: the steps at a t adjacent to one component alone come
-        from that component's list, and only the others are recognized
+        """The steps of Y at each t adjacent to Y whose component C of Y + t
+        containing t is twistable, in increasing bit order, the order of
+        ``adjacent``.  C is t plus the components of Y adjacent to t: the
+        steps at a t adjacent to one component alone come from that
+        component's list, and only the others are flooded and recognized
         here.  The list may be shared: do not modify it."""
-        comps = self.components(Y)
-        parts = [self._alone(C) for C in comps]
+        borders, parts, rest = self.borders, [], Y
+        while rest:  # one flood per component of Y
+            C = self.flood(rest & -rest, rest)
+            rest ^= C
+            parts.append(borders.get(C) or self._alone(C))
         if len(parts) == 1:
             return parts[0][1]
         seen = multi = 0
@@ -230,14 +270,10 @@ class MaskTwists(MaskTable):
         while multi:
             tbit = multi & -multi
             multi ^= tbit
-            comp = tbit
-            for C, (border, _) in zip(comps, parts):
-                if border & tbit:
-                    comp |= C
-            step = self._step(tbit, comp)
+            step = self._step(tbit, self.flood(tbit, Y | tbit))
             if step is not None:
                 out.append(step)
-        out.sort(key=itemgetter(0))
+        out.sort()  # by bit of t: the bits in a list are distinct
         return out
 
 
@@ -257,8 +293,8 @@ def elementary_twist(
     step = tw.step_at(Ym, t)
     if step is None:
         return None
-    tbit, comp, images, factor = step
-    return tw.names((Ym & ~comp) | (comp & ~images.perm[tbit])), factor
+    _, move, _, factor = step
+    return tw.names(Ym ^ move), factor
 
 
 def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSet:

@@ -1,10 +1,11 @@
 """An independent name-tuple reference for the twist searches and the
 stability decision, for the tests that compare the library with it.
 
-It is built from the public ``components``, ``adjacent``,
-``recognize_component``, ``is_twistable`` and ``delta_automorphism`` only,
-never from the library's mask engine (``twist.MaskTwists``) or its
-searches, so a fault in either shows as a mismatch.  Everything runs on
+It is built from the public ``components``, ``adjacent``, ``is_twistable``
+and ``delta_automorphism`` only, never from the library's mask engine
+(``twist.MaskTwists``), its recognizer or its searches, so a fault in any
+of them shows as a mismatch.  Components are recognized by ``recognize``,
+a matcher of its own on labelled name tuples.  Everything runs on
 canonical name tuples: a plain BFS over subsets (``Reference.orbit``),
 over component tuples (``Reference.closure``), and the three scans of the
 decision (``Reference.decision``).
@@ -16,15 +17,122 @@ from collections import deque
 from itertools import combinations
 
 from artinstab import (
+    INFINITY,
     ConjugatorWord,
     CoxeterGraph,
+    IrreducibleType,
     TwistFactor,
+    TypedComponent,
     adjacent,
     components,
     delta_automorphism,
     is_twistable,
-    recognize_component,
 )
+
+
+def _path_order(adj, start, n):
+    order = [start]
+    prev = None
+    cur = start
+    while len(order) < n:
+        nxt = [w for w in adj[cur] if w != prev]
+        prev, cur = cur, nxt[0]
+        order.append(cur)
+    return order
+
+
+def recognize(g: CoxeterGraph, Ys) -> TypedComponent | None:
+    """The catalog type and positions of a connected canonical tuple Ys,
+    None when it is not of finite type, found on names and labels."""
+    n = len(Ys)
+    if n == 1:
+        return TypedComponent(IrreducibleType("A", 1), Ys)
+
+    lab = {}
+    adj = {v: [] for v in Ys}
+    edges = 0
+    for i, s in enumerate(Ys):
+        for t in Ys[i + 1 :]:
+            m = g.label(s, t)
+            if m == 2:
+                continue
+            if m == INFINITY:
+                return None
+            edges += 1
+            adj[s].append(t)
+            adj[t].append(s)
+            lab[frozenset((s, t))] = int(m)
+    if edges != n - 1:
+        return None  # every catalog diagram is a tree
+
+    if n == 2:
+        m = lab[frozenset(Ys)]
+        if m == 3:
+            return TypedComponent(IrreducibleType("A", 2), Ys)
+        if m == 4:
+            return TypedComponent(IrreducibleType("B", 2), Ys)
+        return TypedComponent(IrreducibleType("I2", 2, m), Ys)
+
+    deg = {v: len(adj[v]) for v in Ys}
+    if max(deg.values()) > 3:
+        return None
+    branches = [v for v in Ys if deg[v] == 3]
+
+    if not branches:
+        leaves = sorted(v for v in Ys if deg[v] == 1)
+        seq = _path_order(adj, leaves[0], n)
+        lseq = [lab[frozenset((seq[i], seq[i + 1]))] for i in range(n - 1)]
+        if all(m == 3 for m in lseq):
+            return TypedComponent(IrreducibleType("A", n), tuple(seq))
+        if n == 4 and lseq == [3, 4, 3]:
+            return TypedComponent(IrreducibleType("F", 4), tuple(seq))
+        others = sorted(set(lseq) - {3})
+        if others == [4] and lseq.count(4) == 1 and 4 in (lseq[0], lseq[-1]):
+            if lseq[-1] == 4:
+                seq.reverse()
+            return TypedComponent(IrreducibleType("B", n), tuple(seq))
+        if (
+            n in (3, 4)
+            and others == [5]
+            and lseq.count(5) == 1
+            and 5 in (lseq[0], lseq[-1])
+        ):
+            if lseq[-1] == 5:
+                seq.reverse()
+            return TypedComponent(IrreducibleType("H", n), tuple(seq))
+        return None
+
+    if len(branches) > 1 or any(m != 3 for m in lab.values()):
+        return None
+    b = branches[0]
+    arms = []
+    for x in sorted(adj[b]):
+        arm = [x]
+        prev, cur = b, x
+        while deg[cur] == 2:
+            nxt = [w for w in adj[cur] if w != prev][0]
+            arm.append(nxt)
+            prev, cur = cur, nxt
+        arms.append(arm)
+    arms.sort(key=len)
+    lens = [len(a) for a in arms]
+
+    if lens[0] == 1 and lens[1] == 1:
+        if n == 4:
+            a, c, d = sorted(arm[0] for arm in arms)
+            return TypedComponent(IrreducibleType("D", 4), (a, c, b, d))
+        prongs = sorted((arms[0][0], arms[1][0]))
+        return TypedComponent(
+            IrreducibleType("D", n), (prongs[0], prongs[1], b, *arms[2])
+        )
+    if lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
+        if lens[2] == 2 and arms[2][-1] < arms[1][-1]:
+            arms[1], arms[2] = arms[2], arms[1]
+        short, mid, long = arms
+        return TypedComponent(
+            IrreducibleType("E", n), (short[0], mid[1], mid[0], b, *long)
+        )
+    return None
 
 
 def subsets_descending(X):
@@ -46,7 +154,7 @@ def odd_extension(g, X, Y, end, outside):
     for t in adjacent(g, (end,)):
         if (t not in X) if outside else (t in X and t not in Y):
             comp = next(c for c in components(g, Y + (t,)) if end in c)
-            tc = recognize_component(g, comp)
+            tc = recognize(g, comp)
             if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
                 return t
     return None
@@ -90,7 +198,7 @@ class Reference:
         key = union, t
         if key not in self.twists:
             comp = next(c for c in components(self.g, union + (t,)) if t in c)
-            tc = recognize_component(self.g, comp)
+            tc = recognize(self.g, comp)
             self.twists[key] = (
                 None
                 if tc is None or not is_twistable(tc)
@@ -141,7 +249,7 @@ class Reference:
 
     def typed_components(self, Y):
         if Y not in self.typed:
-            self.typed[Y] = [recognize_component(self.g, c) for c in components(self.g, Y)]
+            self.typed[Y] = [recognize(self.g, c) for c in components(self.g, Y)]
         return self.typed[Y]
 
     def d_sites(self, X):

@@ -18,6 +18,7 @@ from artinstab import (
 
 from artinstab.classify import _maximal_cliques
 from conftest import build_graph, rename_graph
+from reference import recognize
 
 
 def typ(g, Y):
@@ -292,6 +293,57 @@ def test_recognition_rejects_cycles():
         ]
         g = build_graph(names, *rels)
         assert recognize_component(g, names) is None
+
+
+def _affine(n, ends):
+    """A~n (a cycle of n + 1 label-3 edges) when ends is None, else C~n:
+    the path s1 .. s(n + 1) labelled ends, 3, ..., 3, ends."""
+    names = [f"s{i}" for i in range(1, n + 2)]
+    rels = [(names[i], names[i + 1], 3) for i in range(n)]
+    if ends is None:
+        rels.append((names[n], names[0], 3))
+    else:
+        rels[0], rels[-1] = (names[0], names[1], ends), (names[n - 1], names[n], ends)
+    return CoxeterGraph.build(names, rels)
+
+
+def _parity_graphs():
+    """The catalog graphs of the parity test, A~7 and C~6, then 120 seeded
+    graphs on 2-9 vertices with labels 2, 3, 4, 5, 6 and infinity, named
+    so that name order differs from construction order."""
+    for family, n, m in [("A", 8, 0), ("B", 8, 0), ("D", 8, 0), ("E", 6, 0), ("E", 7, 0),
+                         ("E", 8, 0), ("F", 4, 0), ("H", 3, 0), ("H", 4, 0)]:
+        yield standard_graph(family, n, m)
+    for m in (5, 6, 7, 8):
+        yield standard_graph("I2", 0, m)
+    yield _affine(7, None)
+    yield _affine(6, 4)
+    rng = random.Random(0x9A217)
+    labels = (2, 2, 2, 2, 3, 3, 3, 3, 4, 5, 6, INFINITY)
+    for _ in range(120):
+        n = rng.randint(2, 9)
+        names = [f"v{i}" for i in range(n)]
+        rels = [(s, t, m) for s, t in combinations(names, 2) if (m := rng.choice(labels)) != 2]
+        shuffled = rng.sample("abcdefghk", n)
+        yield rename_graph(CoxeterGraph.build(names, rels), dict(zip(names, shuffled)))
+
+
+def test_mask_recognizer_equals_name_tuple_reference():
+    """The library's recognizer, on masks, against the name-tuple matcher
+    of the reference: the same type and positions, or both None, on every
+    connected subset."""
+    compared, typed = 0, set()
+    for g in _parity_graphs():
+        for r in range(1, len(g.generators) + 1):
+            for Y in combinations(g.generators, r):
+                if components(g, Y) != [Y]:
+                    continue
+                got, expected = recognize_component(g, Y), recognize(g, Y)
+                assert got == expected, (g, Y, got, expected)
+                compared += 1
+                typed.add(None if got is None else got.type.family)
+    assert compared > 5000, compared
+    assert typed == {None, "A", "B", "D", "E", "F", "H", "I2"}, typed
 
 
 # ---------------------------------------------------------------- spherical

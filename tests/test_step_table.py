@@ -11,7 +11,8 @@
 * The decision's external closure, grown from the internal one, must hold
   the states of the plain closure under all twists.
 * ``MaskTwists.steps``, which derives the steps of a subset from those of
-  its components, must equal one flood per neighbour of the subset.
+  its components, must equal one flood per neighbour of the subset, each
+  step's move being the bits of t and of its image.
 """
 
 from __future__ import annotations
@@ -138,9 +139,10 @@ def test_internal_closure_and_its_beyond_make_the_external_closure():
 
 
 def flood_steps(tw, Y):
-    """(bit of t, component of Y + t containing t, its permutation of bits,
-    its factor) for each twistable neighbour t of Y in increasing bit
-    order, with one flood within Y + t per t and public recognition."""
+    """(bit of t, the bits of t and of its image (0 when they are one),
+    the permutation of bits of the component of Y + t containing t, its
+    factor) for each twistable neighbour t of Y in increasing bit order,
+    with one flood within Y + t per t and public recognition."""
     near = 0
     for i in range(len(tw.gens)):
         if Y >> i & 1:
@@ -154,7 +156,8 @@ def flood_steps(tw, Y):
             if tc is not None and is_twistable(tc):
                 bit = {v: 1 << tw.index[v] for v in tc.vertices}
                 perm = {bit[v]: bit[w] for v, w in delta_automorphism(tc).items()}
-                out.append((tbit, comp, perm, TwistFactor(tc.vertices, 1)))
+                assert sum(perm) == comp
+                out.append((tbit, tbit ^ perm[tbit], perm, TwistFactor(tc.vertices, 1)))
     return out
 
 
@@ -165,10 +168,10 @@ def test_steps_from_components_equal_one_flood_per_neighbour():
         g = random_graph(rng, max_vertices=10, min_vertices=7)
         tw = MaskTwists(g)  # one set of tables for every subset
         for Y in range(1 << len(g.generators)):
-            got = [(t, comp, images.perm, factor) for t, comp, images, factor in tw.steps(Y)]
+            got = [(t, move, images.perm, factor) for t, move, images, factor in tw.steps(Y)]
             assert got == flood_steps(tw, Y), (g, tw.names(Y))
-            for t, comp, _, _ in got:
-                shared += sum(1 for c in tw.components(Y) if c & comp) >= 2
+            for _, _, perm, _ in got:
+                shared += sum(1 for c in tw.components(Y) if c & sum(perm)) >= 2
     assert shared > 400, shared
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from artinstab import (
@@ -5,16 +8,23 @@ from artinstab import (
     ConjugatorWord,
     DeltaActionUndefined,
     GraphError,
+    OrbitTable,
     TwistFactor,
+    Witness,
     adjacent,
     apply_word,
     components,
+    decide_stability,
     delta_automorphism,
     delta_conjugate_set,
     elementary_twist,
+    orbit,
     recognize_component,
     standard_graph,
+    tuple_twist,
 )
+from artinstab.orbit import _mask_twists
+from artinstab.twist import MaskTwists
 
 from conftest import build_graph, delta_map
 
@@ -169,6 +179,47 @@ def test_twist_involution():
     assert Y_back == Y
 
 
+# Fixed points: when the twist at t fixes t, Y + t - t is Y itself, so the
+# move is 0 and the orbit search skips it; the parts of a component tuple
+# still change places.  (graph, X, t, the twisted tuple.)
+FIXED_POINT_CASES = [
+    (("A", 5), ("s1", "s2", "s4", "s5"), "s3", (("s4", "s5"), ("s1", "s2"))),
+    (("D", 5), ("s1", "s2", "s4", "s5"), "s3", (("s2",), ("s1",), ("s4", "s5"))),
+    (("E", 6), ("s1", "s2", "s3", "s5", "s6"), "s4", (("s1",), ("s5", "s6"), ("s2", "s3"))),
+]
+
+
+@pytest.mark.parametrize("shape, X, t, swapped", FIXED_POINT_CASES, ids=["A5", "D5", "E6"])
+def test_a_twist_fixing_t_is_a_zero_move_that_swaps_parts(shape, X, t, swapped):
+    g = standard_graph(*shape)
+    factor = TwistFactor(g.generators, 1)
+    tw = MaskTwists(g)
+    Y = tw.mask(X)
+    tbit, move, _, step_factor = tw.step_at(Y, t)
+    assert (tbit, move, step_factor) == (tw.mask([t]), 0, factor)
+    assert elementary_twist(g, X, t) == (X, factor)
+    assert _mask_twists(tw)(Y, None) == []  # t is the only neighbour of X
+    assert orbit(g, X).subsets() == (X,)
+    assert tuple_twist(g, tuple(components(g, X)), t) == (swapped, factor)
+    assert decide_stability(g, X) == Witness(
+        "permutation", X, tuple=swapped, word=ConjugatorWord((factor,))
+    )
+
+
+def test_a_zero_move_is_skipped_beside_the_others():
+    # A7, X = {s1, s2, s4, s5}: the twist at s3 (A5) fixes s3; the one at
+    # s6 (A3 on s4, s5, s6) sends s6 to s4
+    a7 = standard_graph("A", 7)
+    tw = MaskTwists(a7)
+    Y = tw.mask(("s1", "s2", "s4", "s5"))
+    moves = {tw.names(tbit): move for tbit, move, _, _ in tw.steps(Y)}
+    assert moves == {("s3",): 0, ("s6",): tw.mask(("s4", "s6"))}
+    successors = _mask_twists(tw)(Y, None)
+    assert [(tw.names(Z), f.subset) for Z, f in successors] == [
+        (("s1", "s2", "s5", "s6"), ("s4", "s5", "s6"))
+    ]
+
+
 # ---------------------------------------------------------------- words
 
 
@@ -210,3 +261,33 @@ def test_apply_word_reports_failing_factor_index():
     with pytest.raises(DeltaActionUndefined) as excinfo:
         apply_word(a3, ("c",), word)
     assert excinfo.value.factor_index == 1
+
+
+def test_a_word_built_by_extension_behaves_like_its_tuple():
+    factors = tuple(TwistFactor((f"s{i % 7 + 1}", f"s{i % 7 + 2}"), 1) for i in range(20_000))
+    built = ConjugatorWord()
+    for f in factors:
+        built = built.extended(f)
+    flat = ConjugatorWord(factors)
+    assert built == flat and hash(built) == hash(flat)
+    assert len(built) == len(flat) == 20_000 and bool(built) and not ConjugatorWord()
+    assert built.factors == factors and tuple(built) == factors
+    assert built.to_json_list() == flat.to_json_list()
+    assert repr(built) == repr(flat)
+    assert pickle.loads(pickle.dumps(built)) == flat
+    assert copy.deepcopy(built) == flat
+    # a prefix, or the same length with another last factor, differs
+    other = TwistFactor(("s9",), -1)
+    assert built != flat.extended(other) and ConjugatorWord(factors[:-1]) != built
+    assert built != ConjugatorWord(factors[:-1]).extended(other)
+    # a word's prefix is shared, not changed, by extending it twice
+    a, b = built.extended(factors[1]), built.extended(other)
+    assert a.factors[-1] == factors[1] and b.factors[-1] == other and built == flat
+
+    witness = Witness("permutation", ("s1",), tuple=(("s1",),), word=built)
+    twin = Witness("permutation", ("s1",), tuple=(("s1",),), word=flat)
+    assert witness == twin and hash(witness) == hash(twin)
+    table = OrbitTable(((("s1",), ConjugatorWord()), (("s2",), built)))
+    assert table.word_for(("s2",)) == flat and ("s2",) in table
+    assert table.to_json_list()[1]["word"] == flat.to_json_list()
+    del built, a, b, witness, table  # freeing the chain must not recurse either
