@@ -6,8 +6,9 @@ E_6, E_7, E_8, F_4, H_3, H_4 and the dihedral types I_2(m), 5 <= m < infinity.
 catalog and returns a canonical position labeling; everything downstream
 (twist automorphisms, the Weyl-group oracle) is phrased in terms of those
 positions.  One recognizer, ``_recognize``, does the matching on the masks
-of a ``graph.MaskTable``; ``recognize_component``, ``is_spherical``,
-``classify_group`` and ``twist.MaskTwists.typed`` all call it.
+of a ``graph.MaskTable``, whose ``typed`` keeps each result with the
+graph; ``recognize_component``, ``is_spherical``, ``classify_group`` and
+the twists all read that memo.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ def recognize_component(g: CoxeterGraph, Y: Iterable[str]) -> TypedComponent | N
     ValueError when Y is not connected in the graph.
     """
     Ys = g.subset(Y)
-    table = MaskTable(g)
+    table = g.table
     Ym = table.mask(Ys)
     if not Ym or table.flood(Ym & -Ym, Ym) != Ym:
         raise ValueError(f"subset is not connected: {Ys!r}")
-    return _recognize(table, Ym)
+    return table.typed(Ym)
 
 
 def _recognize(table: MaskTable, comp: int) -> TypedComponent | None:
@@ -157,27 +158,34 @@ def _recognize(table: MaskTable, comp: int) -> TypedComponent | None:
 
 
 def is_spherical(g: CoxeterGraph, X: Iterable[str]) -> bool:
-    table = MaskTable(g)
+    table = g.table
     return all(
-        _recognize(table, comp) is not None
+        table.typed(comp) is not None
         for comp in table.components(table.mask(g.subset(X)))
     )
 
 
+def _delta_images(t: IrreducibleType) -> tuple[int, ...] | None:
+    """The involution that conjugation by the Garside element of a
+    component of type t induces on its positions: entry i is the index of
+    the image of ``positions[i]``.  None when it is the identity, which it
+    is except on A_n (n >= 2), odd D_n (n >= 5), E_6 and odd I_2(m)."""
+    n = t.rank
+    if t.family == "A" and n >= 2:
+        return tuple(range(n - 1, -1, -1))
+    if t.family == "D" and n >= 5 and n % 2 == 1:
+        return (1, 0, *range(2, n))  # the prongs swap
+    if t.family == "E" and n == 6:
+        return (0, 5, 4, 3, 2, 1)
+    if t.family == "I2" and t.m % 2 == 1:
+        return (1, 0)
+    return None
+
+
 def is_twistable(c: TypedComponent) -> bool:
     """Whether conjugation by the component's Garside element acts as the
-    nontrivial diagram reflection: A_n (n >= 2), odd D_n (n >= 5), E_6 and
-    odd I_2(m)."""
-    t = c.type
-    if t.family == "A":
-        return t.rank >= 2
-    if t.family == "D":
-        return t.rank >= 5 and t.rank % 2 == 1
-    if t.family == "E":
-        return t.rank == 6
-    if t.family == "I2":
-        return t.m % 2 == 1
-    return False
+    nontrivial diagram reflection (see ``_delta_images``)."""
+    return _delta_images(c.type) is not None
 
 
 @dataclass(frozen=True)
@@ -281,9 +289,9 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
     FullStability means the stability decision applies as stated; for an
     FC-type group outside those families the decision has quasi-stability
     semantics; anything else is reported Unknown.  Runs on the mask table
-    of g, recognizing each component once.
+    of g, whose memo recognizes each component once per graph.
     """
-    table = MaskTable(g)
+    table = g.table
     n = len(table.gens)
     full = (1 << n) - 1
     # the finite-label masks (m = 2 included) and the finite labels m >= 3
@@ -294,17 +302,13 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
             i, j = table.index[s], table.index[t]
             finite[i][j] = finite[j][i] = m
 
-    types: dict[int, TypedComponent | None] = {}
-
     def decomposition(X: int) -> list[TypedComponent] | None:
         """Typed components of mask X, None when one is not spherical."""
         out = []
         for comp in table.components(X):
-            if comp not in types:
-                types[comp] = _recognize(table, comp)
-            if types[comp] is None:
+            out.append(table.typed(comp))
+            if out[-1] is None:
                 return None
-            out.append(types[comp])
         return out
 
     spherical = decomposition(full) is not None

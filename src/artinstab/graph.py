@@ -7,18 +7,23 @@ pairs with m != 2 are stored; a missing pair commutes.  Two vertices are
 adjacent when m >= 3 (infinity included); this is the adjacency used by
 every algorithm in this package.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share between threads.  The
-searches and the recognizer work on ``MaskTable``, the one per-call form
-of a graph as int masks: for each vertex the masks of its neighbours, of
-its label-3 edges and of its infinite edges.
+A graph is immutable after construction.  The searches and the recognizer
+work on ``CoxeterGraph.table``, a ``MaskTable`` built on first use and kept
+with the graph: its int masks (for each vertex, of its neighbours, its
+label-3 edges and its infinite edges) and a memo of recognized components.
+Memo entries are pure functions of the graph, so threads that fill one
+concurrently store equal values, and a graph is safe to share between them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .classify import TypedComponent
 
 INFINITY: float = float("inf")
 
@@ -100,6 +105,15 @@ class CoxeterGraph:
                     labels.setdefault((s, t), INFINITY)
         return CoxeterGraph(order, {key: m for key, m in labels.items() if m != 2})
 
+    @cached_property
+    def table(self) -> MaskTable:
+        """The masks of the graph and its recognized components, built on
+        first use and kept with the graph."""
+        return MaskTable(self)
+
+    def __reduce__(self):  # pickle and copy the fields, not the table
+        return CoxeterGraph, (self.generators, self.labels)
+
     def label(self, s: str, t: str) -> Label:
         return self.labels.get(_pair(s, t), 2)
 
@@ -177,8 +191,9 @@ class MaskTable:
     """Subsets of one graph written as int masks, bit i standing for
     ``g.generators[i]``: for each vertex, the masks of its neighbours
     (m >= 3), of those joined to it by m = 3 and of those by m = infinity;
-    the conversions to and from names, and components by flooding.  Built
-    per call and dropped with it."""
+    the conversions to and from names, components by flooding, and the
+    recognized type of each component mask looked up (``typed``).  Built
+    once per graph, as ``CoxeterGraph.table``, and kept with it."""
 
     def __init__(self, g: CoxeterGraph):
         self.g = g
@@ -194,6 +209,17 @@ class MaskTable:
                 kind = self.three if m == 3 else self.inf
                 kind[i] |= 1 << j
                 kind[j] |= 1 << i
+        self.types: dict[int, TypedComponent | None] = {}
+
+    def typed(self, comp: int) -> TypedComponent | None:
+        """The recognized type of a component mask, None when it is not
+        spherical, kept with the table.  The mask must be connected, as
+        every flood is."""
+        types = self.types
+        if comp not in types:
+            from .classify import _recognize  # classify imports this module
+            types[comp] = _recognize(self, comp)
+        return types[comp]
 
     def mask(self, names: Iterable[str]) -> int:
         return sum(1 << self.index[v] for v in names)
@@ -242,7 +268,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 def components(g: CoxeterGraph, X: Iterable[str]) -> list[VertexSet]:
     """Connected components of the induced graph on X, sorted by least vertex."""
-    table = MaskTable(g)
+    table = g.table
     return [table.names(c) for c in table.components(table.mask(g.subset(X)))]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .graph import CoxeterGraph, VertexSet
+from .graph import CoxeterGraph, MaskTable, VertexSet
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
 
@@ -140,12 +140,12 @@ def _mask_twists(
 
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    tw = MaskTwists(g)
-    found = words(bfs_closure([tw.mask(g.subset(X))], _mask_twists(tw)))
-    return OrbitTable(tuple((tw.names(Y), word) for Y, word in found.items()))
+    table = g.table
+    found = words(bfs_closure([table.mask(g.subset(X))], _mask_twists(MaskTwists(g))))
+    return OrbitTable(tuple((table.names(Y), word) for Y, word in found.items()))
 
 
-def _twist_key(tw: MaskTwists, X: int) -> Counter:
+def _twist_key(table: MaskTable, X: int) -> Counter:
     """The multiset of the component types of mask X, a non-spherical
     component entering as its own mask; subsets of one twist orbit share it.
 
@@ -157,8 +157,8 @@ def _twist_key(tw: MaskTwists, X: int) -> Counter:
     1997).  A non-spherical component lies in no twistable C: it never
     moves."""
     key: Counter = Counter()
-    for c in tw.components(X):
-        typed = tw.typed(c)
+    for c in table.components(X):
+        typed = table.typed(c)
         key[c if typed is None else (c.bit_count(), str(typed.type))] += 1
     return key
 
@@ -174,9 +174,9 @@ def conjugator(
     Xps = g.subset(Xp)
     if Xs == Xps:
         return ConjugatorWord()
-    tw = MaskTwists(g)
-    start, target = tw.mask(Xs), tw.mask(Xps)
-    if _twist_key(tw, start) != _twist_key(tw, target):
+    table = g.table
+    start, target = table.mask(Xs), table.mask(Xps)
+    if _twist_key(table, start) != _twist_key(table, target):
         return None
-    parents = bfs_closure([start], _mask_twists(tw), target.__eq__)
+    parents = bfs_closure([start], _mask_twists(MaskTwists(g)), target.__eq__)
     return word_to(parents, target) if target in parents else None

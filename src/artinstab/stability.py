@@ -30,7 +30,7 @@ from .classify import (
     classify_group,
     is_spherical,
 )
-from .graph import CoxeterGraph, VertexSet, components
+from .graph import CoxeterGraph, MaskTable, VertexSet, components
 from .orbit import Parents, bfs_closure, word_to, words
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
@@ -107,15 +107,15 @@ def tuple_twist(
 ) -> tuple[ComponentTuple, TwistFactor] | None:
     """Twist the union of the tuple at t, tracking each position's image;
     t must be adjacent to the union (see ``MaskTwists.step_at``)."""
-    tw = MaskTwists(g)
-    step = tw.step_at(tw.mask(g.subset([v for part in T for v in part])), t)
+    table = g.table
+    step = MaskTwists(g).step_at(table.mask(g.subset([v for part in T for v in part])), t)
     if step is None:
         return None
     _, _, images, factor = step
-    return tuple(tw.names(images[tw.mask(part)]) for part in T), factor
+    return tuple(table.names(images[table.mask(part)]) for part in T), factor
 
 
-# A component tuple written as part masks (see ``twist.MaskTwists``).
+# A component tuple written as part masks (see ``graph.MaskTable``).
 MaskTuple = tuple[int, ...]
 
 
@@ -198,28 +198,29 @@ def tuple_orbit(
 ) -> dict[ComponentTuple, ConjugatorWord]:
     """BFS closure of the component tuple of X1 under tuple twists at
     vertices satisfying ``allowed`` (all vertices when None)."""
-    tw = MaskTwists(g)
-    bits = tw.mask(v for v in g.generators if allowed is None or allowed(v))
-    parents = _closure(Moves(tw, bits), tw.components(tw.mask(g.subset(X1))), INSIDE)
+    table = g.table
+    bits = table.mask(v for v in g.generators if allowed is None or allowed(v))
+    start = table.components(table.mask(g.subset(X1)))
+    parents = _closure(Moves(MaskTwists(g), bits), start, INSIDE)
     return {
-        tuple(tw.names(P) for P in T): word for T, word in words(parents).items()
+        tuple(table.names(P) for P in T): word for T, word in words(parents).items()
     }
 
 
 def _odd_extension(
-    tw: MaskTwists, inside: int, Y: int, end: str, outside: bool
+    table: MaskTable, inside: int, Y: int, end: str, outside: bool
 ) -> str | None:
     """The first vertex t adjacent to the end vertex, outside X (or else in
     X but not in Y), such that the component of Y + t containing the end
     has type D of odd rank; inside is the mask of X."""
-    i = tw.index[end]
-    near = tw.nbrs[i] & (~inside if outside else inside & ~Y)
+    i = table.index[end]
+    near = table.nbrs[i] & (~inside if outside else inside & ~Y)
     while near:
         tbit = near & -near
         near ^= tbit
-        tc = tw.typed(tw.flood(1 << i, Y | tbit))
+        tc = table.typed(table.flood(1 << i, Y | tbit))
         if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
-            return tw.gens[tbit.bit_length() - 1]
+            return table.gens[tbit.bit_length() - 1]
     return None
 
 
@@ -232,7 +233,7 @@ def _d_kind(t: IrreducibleType) -> str | None:
 
 
 def _find_d_obstruction(
-    tw: MaskTwists, inside: int, Y: int, Yp: TypedComponent
+    table: MaskTable, inside: int, Y: int, Yp: TypedComponent
 ) -> tuple[str | None, str] | None:
     """(end, outside vertex) of an odd-D extension at an end of a D_2k or
     D_4 component of Y that no inside extension repairs, neither at the same
@@ -241,11 +242,11 @@ def _find_d_obstruction(
     p = Yp.positions
     ends = (p[0], p[1], p[3]) if Yp.type.rank == 4 else (p[-1],)
     for end in ends:
-        attach = _odd_extension(tw, inside, Y, end, True)
-        if attach is None or _odd_extension(tw, inside, Y, end, False) is not None:
+        attach = _odd_extension(table, inside, Y, end, True)
+        if attach is None or _odd_extension(table, inside, Y, end, False) is not None:
             continue
         others = [o for o in ends if o != end]
-        if others and all(_odd_extension(tw, inside, Y, o, False) is not None for o in others):
+        if others and all(_odd_extension(table, inside, Y, o, False) is not None for o in others):
             continue
         return (end if others else None), attach
     return None
@@ -262,15 +263,15 @@ def _check_site(
     Xs, Ys = g.subset(X), g.subset(Y)
     if not set(Ys) <= set(Xs):
         raise ValueError("Y must be a subset of X")
-    tw = MaskTwists(g)
-    Ym, comp = tw.mask(Ys), tw.mask(g.subset(Yp.positions))
+    table = g.table
+    Ym, comp = table.mask(Ys), table.mask(g.subset(Yp.positions))
     # a component of Y is what a flood within Y from its lowest bit reaches
     # (nothing unless that bit is in Y); recognition fixes type and positions
-    if tw.flood(comp & -comp & Ym, Ym) != comp or tw.typed(comp) != Yp:
+    if table.flood(comp & -comp & Ym, Ym) != comp or table.typed(comp) != Yp:
         raise ValueError("the typed component is not a component of Y")
     if _d_kind(Yp.type) != kind:
         raise ValueError(f"component has type {Yp.type}, expected {expected}")
-    return _find_d_obstruction(tw, tw.mask(Xs), Ym, Yp) is not None
+    return _find_d_obstruction(table, table.mask(Xs), Ym, Yp) is not None
 
 
 def check_d2k_exception(
@@ -304,14 +305,14 @@ def decide_stability(
     leaf obstructions, then the component-tuple comparison of the closure
     under all twists against the closure under twists inside X.  Returns
     the witness of the first obstruction found, or None when there is none
-    and the subgroup is stable.  All three scans run on subset masks and
-    share one ``MaskTwists``: each component is recognized once and its
-    border steps are listed once per call, and all of it is dropped on
-    return.  The closures run on component tuples of part masks, with the
-    twist steps of each union listed once per call (``Moves``).  For a
-    subset X1, the internal closure I is built first.  A twist inside X
-    keeps a tuple in I, so the external closure is I plus what grows from
-    the images of I under twists outside X; that growth stops at its first
+    and the subgroup is stable.  All three scans run on subset masks of
+    ``g.table``, which recognizes each component once per graph.  The
+    closures run on component tuples of part masks, with the border steps
+    of each component and the twist steps of each union listed once per
+    call (``MaskTwists``, ``Moves``) and dropped on return.  For a subset
+    X1, the internal closure I is built first.  A twist inside X keeps a
+    tuple in I, so the external closure is I plus what grows from the
+    images of I under twists outside X; that growth stops at its first
     tuple inside X, and X1 fails exactly when there is one.  Only then is
     the plain external closure built, up to its first tuple inside X and
     not in I: the witness, with the tuple and word a full build gives.  A
@@ -323,20 +324,20 @@ def decide_stability(
     if len(Xs) > max_subset_size:
         raise SubsetSizeLimitError(len(Xs), max_subset_size)
 
-    tw = MaskTwists(g)
-    inside = tw.mask(Xs)
-    bits = [1 << tw.index[v] for v in Xs]
+    table = g.table
+    inside = table.mask(Xs)
+    bits = [1 << table.index[v] for v in Xs]
     for kind in ("d2k_exception", "d4_exception"):
         for T in _subsets_descending(bits):
-            for comp in tw.components(T):
-                tc = tw.typed(comp)
+            for comp in table.components(T):
+                tc = table.typed(comp)
                 if tc is None or _d_kind(tc.type) != kind:
                     continue
-                site = _find_d_obstruction(tw, inside, T, tc)
+                site = _find_d_obstruction(table, inside, T, tc)
                 if site is not None:
                     leaf, attach = site
                     return Witness(
-                        kind, tw.names(T), component=tc.positions, leaf=leaf, attach=attach
+                        kind, table.names(T), component=tc.positions, leaf=leaf, attach=attach
                     )
 
     outside = ((1 << len(g.generators)) - 1) & ~inside
@@ -344,9 +345,9 @@ def decide_stability(
     def within(T: MaskTuple) -> bool:
         return not sum(T) & outside
 
-    moves = Moves(tw, inside)
+    moves = Moves(MaskTwists(g), inside)
     for X1 in _subsets_descending(bits):
-        start = tw.components(X1)
+        start = table.components(X1)
         internal = _closure(moves, start, INSIDE)
         beyond = _beyond(moves, internal, within)
         if not (beyond and within(next(reversed(beyond)))):
@@ -355,8 +356,8 @@ def decide_stability(
         T = next(reversed(external))
         return Witness(
             "permutation",
-            subset=tw.names(X1),
-            tuple=tuple(tw.names(P) for P in T),
+            subset=table.names(X1),
+            tuple=tuple(table.names(P) for P in T),
             word=word_to(external, T),
         )
     return None

@@ -4,7 +4,8 @@ Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
 each twistable component (and fixes everything else).  ``MaskTwists`` is
 the one place that computes an elementary twist: on subsets written as int
-masks, with each component recognized once per call.  The twist at t adds
+masks, with each component recognized once per graph (``graph.MaskTable``)
+and twisted once per call.  The twist at t adds
 t and removes its image, so each step carries that pair of bits as its
 move, and the twisted subset is the subset XOR the move.  Every search
 runs on it, and ``elementary_twist`` is a thin wrapper over it on name
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .classify import TypedComponent, _recognize, is_twistable, recognize_component
-from .graph import CoxeterGraph, MaskTable, VertexSet, _bits, components
+from .classify import TypedComponent, _delta_images
+from .graph import CoxeterGraph, VertexSet, _bits
 
 
 class DeltaActionUndefined(ValueError):
@@ -106,21 +107,10 @@ class ConjugatorWord:
 
 def delta_automorphism(c: TypedComponent) -> dict[str, str]:
     """The involution induced on a component's vertices by conjugation with
-    its Garside element: the identity unless the component is twistable."""
+    its Garside element (see ``classify._delta_images``): the identity
+    unless the component is twistable."""
     p = c.positions
-    n = len(p)
-    if not is_twistable(c):
-        return {v: v for v in p}
-    family = c.type.family
-    if family == "A":
-        return {p[i]: p[n - 1 - i] for i in range(n)}
-    if family == "D":
-        out = {v: v for v in p}
-        out[p[0]], out[p[1]] = p[1], p[0]
-        return out
-    if family == "E":
-        return {p[0]: p[0], p[3]: p[3], p[1]: p[5], p[5]: p[1], p[2]: p[4], p[4]: p[2]}
-    return {p[0]: p[1], p[1]: p[0]}  # odd I2
+    return dict(zip(p, map(p.__getitem__, _delta_images(c.type) or range(len(p)))))
 
 
 def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> VertexSet:
@@ -130,25 +120,18 @@ def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> 
     Defined only when every element of X lies in V or commutes with all of V,
     and V is spherical.
     """
-    Vs = g.subset(V)
-    Xs = g.subset(X)
-    tau: dict[str, str] = {}
-    for comp in components(g, Vs):
-        tc = recognize_component(g, comp)
-        if tc is None:
-            raise ValueError(f"subset is not of spherical type: {list(comp)}")
-        tau.update(delta_automorphism(tc))
-    inside = set(Vs)
-    out = []
-    for x in Xs:
-        if x in inside:
-            out.append(tau[x])
-        else:
-            for v in Vs:
-                if g.has_edge(x, v):
-                    raise DeltaActionUndefined(x, Vs)
-            out.append(x)
-    return tuple(sorted(out))
+    table = g.table
+    Vm, Xm = table.mask(g.subset(V)), table.mask(g.subset(X))
+    tw, out = MaskTwists(g), Xm & ~Vm
+    for comp in table.components(Vm):
+        if table.typed(comp) is None:
+            raise ValueError(f"subset is not of spherical type: {list(table.names(comp))}")
+        twist = tw._twist(comp)
+        out |= Xm & comp if twist is None else twist[0][Xm & comp]
+    for i in _bits(Xm & ~Vm):
+        if table.nbrs[i] & Vm:
+            raise DeltaActionUndefined(table.gens[i], table.names(Vm))
+    return table.names(out)
 
 
 class Images(dict):
@@ -177,37 +160,32 @@ class Images(dict):
 MaskStep = tuple[int, int, Images, TwistFactor]
 
 
-class MaskTwists(MaskTable):
-    """Twists of subsets written as int masks, for one call: the mask table
-    of the graph, each component recognized once, its twist, and the twist
-    steps at the border of each component of the subsets a search reaches.
-    Built per call and dropped with it."""
+class MaskTwists:
+    """Twists of subsets written as int masks, for one call: the twist of
+    each component, and the twist steps at the border of each component of
+    the subsets a search reaches.  Built per call and dropped with it; the
+    masks and the recognized components come from ``g.table``, which stays
+    with the graph."""
 
     def __init__(self, g: CoxeterGraph):
-        super().__init__(g)
-        self.types: dict[int, TypedComponent | None] = {}
+        self.table = g.table
         self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
         # component mask -> its border and its steps there (see ``_alone``)
         self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
-
-    def typed(self, comp: int) -> TypedComponent | None:
-        """The recognized type of a component mask, kept for the call.  The
-        mask must be connected, as every flood is."""
-        if comp not in self.types:
-            self.types[comp] = _recognize(self, comp)
-        return self.types[comp]
 
     def _twist(self, comp: int) -> tuple[Images, TwistFactor] | None:
         """The twist of a component mask, kept for the call: the involution
         that conjugation by its Garside element induces on its bits, and
         that factor; None unless the component is twistable (a component of
         infinite type is not)."""
-        tc = self.typed(comp)
+        table = self.table
+        tc = table.typed(comp)
+        images = None if tc is None else _delta_images(tc.type)
         twist = None
-        if tc is not None and is_twistable(tc):
-            bit = {v: 1 << self.index[v] for v in tc.vertices}
-            perm = {bit[v]: bit[w] for v, w in delta_automorphism(tc).items()}
-            twist = Images(perm), TwistFactor(tc.vertices, 1)
+        if images is not None:
+            bits = [1 << table.index[v] for v in tc.positions]
+            perm = dict(zip(bits, map(bits.__getitem__, images)))
+            twist = Images(perm), TwistFactor(table.names(comp), 1)  # = tc.vertices
         self.twists[comp] = twist
         return twist
 
@@ -222,17 +200,18 @@ class MaskTwists(MaskTable):
         """The step of the subset mask Y at the generator t, None when the
         component of Y + t containing t is not twistable.  An unknown t is
         a GraphError, and a t that is not adjacent to Y a ValueError."""
-        (t,) = self.g.subset((t,))
-        i = self.index[t]
-        if Y >> i & 1 or not self.nbrs[i] & Y:
-            raise ValueError(f"{t!r} is not adjacent to {list(self.names(Y))}")
-        return self._step(1 << i, self.flood(1 << i, Y | 1 << i))
+        table = self.table
+        (t,) = table.g.subset((t,))
+        i = table.index[t]
+        if Y >> i & 1 or not table.nbrs[i] & Y:
+            raise ValueError(f"{t!r} is not adjacent to {list(table.names(Y))}")
+        return self._step(1 << i, table.flood(1 << i, Y | 1 << i))
 
     def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
         """(the border of the component mask C, the steps at each border bit
         t when t is adjacent to C alone, so that C + t is the component of
         t), kept for the call in ``borders``."""
-        nbrs = self.nbrs
+        nbrs = self.table.nbrs
         border = 0
         for i in _bits(C):
             border |= nbrs[i]
@@ -255,9 +234,9 @@ class MaskTwists(MaskTable):
         steps at a t adjacent to one component alone come from that
         component's list, and only the others are flooded and recognized
         here.  The list may be shared: do not modify it."""
-        borders, parts, rest = self.borders, [], Y
+        borders, flood, parts, rest = self.borders, self.table.flood, [], Y
         while rest:  # one flood per component of Y
-            C = self.flood(rest & -rest, rest)
+            C = flood(rest & -rest, rest)
             rest ^= C
             parts.append(borders.get(C) or self._alone(C))
         if len(parts) == 1:
@@ -270,7 +249,7 @@ class MaskTwists(MaskTable):
         while multi:
             tbit = multi & -multi
             multi ^= tbit
-            step = self._step(tbit, self.flood(tbit, Y | tbit))
+            step = self._step(tbit, flood(tbit, Y | tbit))
             if step is not None:
                 out.append(step)
         out.sort()  # by bit of t: the bits in a list are distinct
@@ -288,13 +267,12 @@ def elementary_twist(
     twistable.  The new set has the same size as Y.  t must be adjacent
     to Y (see ``MaskTwists.step_at``).
     """
-    tw = MaskTwists(g)
-    Ym = tw.mask(g.subset(Y))
-    step = tw.step_at(Ym, t)
+    Ym = g.table.mask(g.subset(Y))
+    step = MaskTwists(g).step_at(Ym, t)
     if step is None:
         return None
     _, move, _, factor = step
-    return tw.names(Ym ^ move), factor
+    return g.table.names(Ym ^ move), factor
 
 
 def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSet:
