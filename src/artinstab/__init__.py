@@ -2,7 +2,9 @@
 
 Library layout:
 
-* :mod:`artinstab.graph` holds the Coxeter graph data model;
+* :mod:`artinstab.graph` holds the Coxeter graph, the one graph
+  representation: names and labels, the int masks every search runs on and
+  a memo of recognized components;
 * :mod:`artinstab.classify` recognizes finite-type diagrams and classifies
   the whole group into hypothesis families;
 * :mod:`artinstab.twist` implements twists, the set-level conjugations by

@@ -6,9 +6,9 @@ E_6, E_7, E_8, F_4, H_3, H_4 and the dihedral types I_2(m), 5 <= m < infinity.
 catalog and returns a canonical position labeling; everything downstream
 (twist automorphisms, the Weyl-group oracle) is phrased in terms of those
 positions.  One recognizer, ``_recognize``, does the matching on the masks
-of a ``graph.MaskTable``, whose ``typed`` keeps each result with the
-graph; ``recognize_component``, ``is_spherical``, ``classify_group`` and
-the twists all read that memo.
+of a ``CoxeterGraph``, whose ``typed`` keeps each result with the graph;
+``recognize_component``, ``is_spherical``, ``classify_group`` and the
+twists all read that memo.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 from .graph import (
     INFINITY,
     CoxeterGraph,
-    MaskTable,
     VertexSet,
     _bits,
 )
@@ -76,36 +75,35 @@ def recognize_component(g: CoxeterGraph, Y: Iterable[str]) -> TypedComponent | N
     ValueError when Y is not connected in the graph.
     """
     Ys = g.subset(Y)
-    table = g.table
-    Ym = table.mask(Ys)
-    if not Ym or table.flood(Ym & -Ym, Ym) != Ym:
+    Ym = g.mask(Ys)
+    if not Ym or g.flood(Ym & -Ym, Ym) != Ym:
         raise ValueError(f"subset is not connected: {Ys!r}")
-    return table.typed(Ym)
+    return g.typed(Ym)
 
 
-def _recognize(table: MaskTable, comp: int) -> TypedComponent | None:
-    """``recognize_component`` for a mask of table already known to be
+def _recognize(g: CoxeterGraph, comp: int) -> TypedComponent | None:
+    """``recognize_component`` for a mask of g already known to be
     connected, without checking it.  Every catalog diagram is a tree
     without infinite labels; its shape and the few labels other than 3
     pick the type, and positions are found by walking the tree in bit
     order, which is the order of generator names."""
-    gens = table.gens
+    gens = g.generators
     verts = list(_bits(comp))
     n = len(verts)
 
     def label(a: int, b: int) -> int:
-        return 3 if table.three[a] >> b & 1 else table.g.label(gens[a], gens[b])
+        return 3 if g.three[a] >> b & 1 else g.label(gens[a], gens[b])
 
     def typed(family: str, seq, m: int = 0) -> TypedComponent:
         return TypedComponent(IrreducibleType(family, n, m), tuple(gens[i] for i in seq))
 
     if n == 1:
         return typed("A", verts)
-    near = {i: table.nbrs[i] & comp for i in verts}
+    near = {i: g.nbrs[i] & comp for i in verts}
     deg = {i: mask.bit_count() for i, mask in near.items()}
-    if any(table.inf[i] & comp for i in verts) or sum(deg.values()) != 2 * (n - 1):
+    if any(g.inf[i] & comp for i in verts) or sum(deg.values()) != 2 * (n - 1):
         return None
-    simply_laced = all(table.three[i] & comp == near[i] for i in verts)
+    simply_laced = all(g.three[i] & comp == near[i] for i in verts)
     if n == 2:
         m = label(*verts)
         if m == 3:
@@ -158,11 +156,7 @@ def _recognize(table: MaskTable, comp: int) -> TypedComponent | None:
 
 
 def is_spherical(g: CoxeterGraph, X: Iterable[str]) -> bool:
-    table = g.table
-    return all(
-        table.typed(comp) is not None
-        for comp in table.components(table.mask(g.subset(X)))
-    )
+    return all(g.typed(comp) is not None for comp in g.components(g.mask(g.subset(X))))
 
 
 def _delta_images(t: IrreducibleType) -> tuple[int, ...] | None:
@@ -263,13 +257,13 @@ def _two_dimensional(fin: list[int], finite: list[dict[int, int]]) -> bool:
     return True
 
 
-def _affine_family(table: MaskTable) -> str | None:
+def _affine_family(g: CoxeterGraph) -> str | None:
     """A~n for a cycle of label-3 edges, C~n for a path labelled
     4, 3, ..., 3, 4; None otherwise."""
-    g, nbrs = table.g, table.nbrs
+    nbrs = g.nbrs
     n = len(nbrs)
     full = (1 << n) - 1
-    if n < 3 or table.flood(1, full) != full:
+    if n < 3 or g.flood(1, full) != full:
         return None
     deg = [mask.bit_count() for mask in nbrs]
     if all(d == 2 for d in deg):
@@ -277,7 +271,7 @@ def _affine_family(table: MaskTable) -> str | None:
     leaves = [i for i, d in enumerate(deg) if d == 1]
     if len(leaves) == 2 and deg.count(2) == n - 2:
         path = _path(nbrs, leaves[0], n)
-        lseq = [g.label(table.gens[a], table.gens[b]) for a, b in zip(path, path[1:])]
+        lseq = [g.label(g.generators[a], g.generators[b]) for a, b in zip(path, path[1:])]
         if lseq[0] == 4 and lseq[-1] == 4 and all(m == 3 for m in lseq[1:-1]):
             return f"C~{n - 1}"
     return None
@@ -288,25 +282,24 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
 
     FullStability means the stability decision applies as stated; for an
     FC-type group outside those families the decision has quasi-stability
-    semantics; anything else is reported Unknown.  Runs on the mask table
-    of g, whose memo recognizes each component once per graph.
+    semantics; anything else is reported Unknown.  Runs on the masks of g,
+    whose memo recognizes each component once per graph.
     """
-    table = g.table
-    n = len(table.gens)
+    n = len(g.generators)
     full = (1 << n) - 1
     # the finite-label masks (m = 2 included) and the finite labels m >= 3
-    fin = [full & ~(1 << i) & ~inf for i, inf in enumerate(table.inf)]
+    fin = [full & ~(1 << i) & ~inf for i, inf in enumerate(g.inf)]
     finite: list[dict[int, int]] = [{} for _ in range(n)]
     for (s, t), m in g.labels.items():
         if m != INFINITY:
-            i, j = table.index[s], table.index[t]
+            i, j = g.index[s], g.index[t]
             finite[i][j] = finite[j][i] = m
 
     def decomposition(X: int) -> list[TypedComponent] | None:
         """Typed components of mask X, None when one is not spherical."""
         out = []
-        for comp in table.components(X):
-            out.append(table.typed(comp))
+        for comp in g.components(X):
+            out.append(g.typed(comp))
             if out[-1] is None:
                 return None
         return out
@@ -316,22 +309,22 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
         decomposition(clique) is not None for clique in _maximal_cliques(full, fin)
     )
 
-    factor_masks = table.components(full, fin)
+    factor_masks = g.components(full, fin)
     factor_decomps = [decomposition(f) for f in factor_masks]
     free_product = all(d is not None for d in factor_decomps)
     free_factors = None
     if free_product:
         free_factors = tuple(
-            (table.names(f), tuple(str(tc.type) for tc in dec))
+            (g.names(f), tuple(str(tc.type) for tc in dec))
             for f, dec in zip(factor_masks, factor_decomps)
         )
 
     large = len(g.labels) == n * (n - 1) // 2 and all(m != 2 for m in g.labels.values())
     two_dimensional = _two_dimensional(fin, finite)
     martin = two_dimensional and all(
-        (full & ~(1 << i) & ~mask).bit_count() <= 1 for i, mask in enumerate(table.nbrs)
+        (full & ~(1 << i) & ~mask).bit_count() <= 1 for i, mask in enumerate(g.nbrs)
     )
-    affine = _affine_family(table)
+    affine = _affine_family(g)
 
     if spherical:
         applicability, why = "FullStability", "the whole group is of spherical type"

@@ -16,7 +16,6 @@ from pathlib import Path
 from .classify import classify_group, recognize_component, standard_graph
 from .graph import CoxeterGraph, GraphError, components, parse_graph, to_dot, to_json_dict
 from .oracle import (
-    UnsupportedTypeError,
     expand_subset,
     longest_element,
     positive_roots,
@@ -357,10 +356,11 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     # Only input errors map to exit 2; any other exception is a bug and
-    # propagates with its traceback.
+    # propagates with its traceback.  A type outside the oracle's scope is
+    # not one: ``expand_subset`` answers it with None.
     try:
         return args.handler(args)
-    except (GraphError, UnsupportedTypeError) as exc:
+    except GraphError as exc:
         _fail(str(exc))
         return 2
     except SubsetSizeLimitError as exc:

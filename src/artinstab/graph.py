@@ -7,10 +7,11 @@ pairs with m != 2 are stored; a missing pair commutes.  Two vertices are
 adjacent when m >= 3 (infinity included); this is the adjacency used by
 every algorithm in this package.
 
-A graph is immutable after construction.  The searches and the recognizer
-work on ``CoxeterGraph.table``, a ``MaskTable`` built on first use and kept
-with the graph: its int masks (for each vertex, of its neighbours, its
-label-3 edges and its infinite edges) and a memo of recognized components.
+A graph is immutable after construction.  Besides its names and labels it
+keeps, built with it, int masks of its subsets (bit i standing for
+``generators[i]``): for each vertex, the masks of its neighbours, its
+label-3 edges and its infinite edges.  The searches and the recognizer run
+on those masks, and ``typed`` keeps a memo of recognized components.
 Memo entries are pure functions of the graph, so threads that fill one
 concurrently store equal values, and a graph is safe to share between them.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -58,11 +58,34 @@ class CoxeterGraph:
     The sorted generator order is the canonical order; every deterministic
     choice downstream (component ordering, BFS frontiers, serialization)
     derives from it.  ``labels`` maps each sorted pair with m != 2 to m;
-    ``label`` reads a missing pair as 2.
+    ``label`` reads a missing pair as 2.  Only these two fields take part in
+    equality, ``repr``, pickling and copying; the masks and the memo of
+    recognized components (``types``) are built from them, so a clone starts
+    with an empty memo.
     """
 
     generators: VertexSet
     labels: dict[tuple[str, str], Label]
+
+    def __post_init__(self):
+        index = {v: i for i, v in enumerate(self.generators)}
+        n = len(index)
+        nbrs, three, inf = [0] * n, [0] * n, [0] * n
+        for (s, t), m in self.labels.items():  # every stored label is >= 3
+            i, j = index[s], index[t]
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+            if m == 3 or m == INFINITY:
+                kind = three if m == 3 else inf
+                kind[i] |= 1 << j
+                kind[j] |= 1 << i
+        types: dict[int, TypedComponent | None] = {}
+        # set as the fields are, through __setattr__ (the dataclass is
+        # frozen): filling vars(self) instead slows every later attribute load
+        put = object.__setattr__
+        for name, value in (("index", index), ("nbrs", nbrs), ("three", three),
+                            ("inf", inf), ("types", types)):
+            put(self, name, value)
 
     @staticmethod
     def build(
@@ -105,13 +128,7 @@ class CoxeterGraph:
                     labels.setdefault((s, t), INFINITY)
         return CoxeterGraph(order, {key: m for key, m in labels.items() if m != 2})
 
-    @cached_property
-    def table(self) -> MaskTable:
-        """The masks of the graph and its recognized components, built on
-        first use and kept with the graph."""
-        return MaskTable(self)
-
-    def __reduce__(self):  # pickle and copy the fields, not the table
+    def __reduce__(self):  # pickle and copy the fields, not the memo
         return CoxeterGraph, (self.generators, self.labels)
 
     def label(self, s: str, t: str) -> Label:
@@ -127,6 +144,52 @@ class CoxeterGraph:
         for name in out:
             if name not in known:
                 raise GraphError(f"unknown generator {name!r}")
+        return tuple(out)
+
+    def typed(self, comp: int) -> TypedComponent | None:
+        """The recognized type of a component mask, None when it is not
+        spherical, kept with the graph.  The mask must be connected, as
+        every flood is."""
+        types = self.types
+        if comp not in types:
+            from .classify import _recognize  # classify imports this module
+            types[comp] = _recognize(self, comp)
+        return types[comp]
+
+    def mask(self, names: Iterable[str]) -> int:
+        return sum(1 << self.index[v] for v in names)
+
+    def names(self, mask: int) -> VertexSet:
+        gens, out = self.generators, []
+        while mask:
+            low = mask & -mask
+            out.append(gens[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def flood(self, seed: int, within: int, nbrs: list[int] | None = None) -> int:
+        """The component of ``within`` containing the bits of seed, joined
+        by edges, or by the neighbour masks nbrs when given."""
+        if nbrs is None:
+            nbrs = self.nbrs
+        comp = frontier = seed
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & within & ~comp
+            comp |= frontier
+        return comp
+
+    def components(self, X: int, nbrs: list[int] | None = None) -> tuple[int, ...]:
+        """The components of X, ordered by lowest bit, joined as in ``flood``."""
+        out = []
+        while X:
+            comp = self.flood(X & -X, X, nbrs)
+            out.append(comp)
+            X &= ~comp
         return tuple(out)
 
 
@@ -187,77 +250,6 @@ def to_json_dict(g: CoxeterGraph) -> dict:
     }
 
 
-class MaskTable:
-    """Subsets of one graph written as int masks, bit i standing for
-    ``g.generators[i]``: for each vertex, the masks of its neighbours
-    (m >= 3), of those joined to it by m = 3 and of those by m = infinity;
-    the conversions to and from names, components by flooding, and the
-    recognized type of each component mask looked up (``typed``).  Built
-    once per graph, as ``CoxeterGraph.table``, and kept with it."""
-
-    def __init__(self, g: CoxeterGraph):
-        self.g = g
-        self.gens = g.generators
-        self.index = {v: i for i, v in enumerate(self.gens)}
-        n = len(self.gens)
-        self.nbrs, self.three, self.inf = [0] * n, [0] * n, [0] * n
-        for (s, t), m in g.labels.items():  # every stored label is >= 3
-            i, j = self.index[s], self.index[t]
-            self.nbrs[i] |= 1 << j
-            self.nbrs[j] |= 1 << i
-            if m == 3 or m == INFINITY:
-                kind = self.three if m == 3 else self.inf
-                kind[i] |= 1 << j
-                kind[j] |= 1 << i
-        self.types: dict[int, TypedComponent | None] = {}
-
-    def typed(self, comp: int) -> TypedComponent | None:
-        """The recognized type of a component mask, None when it is not
-        spherical, kept with the table.  The mask must be connected, as
-        every flood is."""
-        types = self.types
-        if comp not in types:
-            from .classify import _recognize  # classify imports this module
-            types[comp] = _recognize(self, comp)
-        return types[comp]
-
-    def mask(self, names: Iterable[str]) -> int:
-        return sum(1 << self.index[v] for v in names)
-
-    def names(self, mask: int) -> VertexSet:
-        gens, out = self.gens, []
-        while mask:
-            low = mask & -mask
-            out.append(gens[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
-
-    def flood(self, seed: int, within: int, nbrs: list[int] | None = None) -> int:
-        """The component of ``within`` containing the bits of seed, joined
-        by edges, or by the neighbour masks nbrs when given."""
-        if nbrs is None:
-            nbrs = self.nbrs
-        comp = frontier = seed
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= nbrs[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & within & ~comp
-            comp |= frontier
-        return comp
-
-    def components(self, X: int, nbrs: list[int] | None = None) -> tuple[int, ...]:
-        """The components of X, ordered by lowest bit, joined as in ``flood``."""
-        out = []
-        while X:
-            comp = self.flood(X & -X, X, nbrs)
-            out.append(comp)
-            X &= ~comp
-        return tuple(out)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The set bit positions of mask, in increasing order."""
     while mask:
@@ -268,19 +260,16 @@ def _bits(mask: int) -> Iterator[int]:
 
 def components(g: CoxeterGraph, X: Iterable[str]) -> list[VertexSet]:
     """Connected components of the induced graph on X, sorted by least vertex."""
-    table = g.table
-    return [table.names(c) for c in table.components(table.mask(g.subset(X)))]
+    return [g.names(c) for c in g.components(g.mask(g.subset(X)))]
 
 
 def adjacent(g: CoxeterGraph, X: Iterable[str]) -> VertexSet:
     """Vertices outside X adjacent to some vertex of X."""
-    Xs = g.subset(X)
-    inside = set(Xs)
-    return tuple(
-        s
-        for s in g.generators
-        if s not in inside and any(g.has_edge(s, x) for x in Xs)
-    )
+    Xm = g.mask(g.subset(X))
+    near = 0
+    for i in _bits(Xm):
+        near |= g.nbrs[i]
+    return g.names(near & ~Xm)
 
 
 def to_dot(g: CoxeterGraph) -> str:

@@ -3,10 +3,10 @@
 Two standard parabolic subgroups are conjugate exactly when one lies in the
 twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
-``conjugator`` search over subsets written as int masks of the generator
-order and convert to name tuples only for their results; their twist steps
-come from the per-call tables of ``twist.MaskTwists``, and a successor is
-the subset XOR a step's move.  The same search engine, ``bfs_closure``,
+``conjugator`` search over subsets written as int masks of the graph's
+generator order and convert to name tuples only for their results; their
+twist steps come from the per-call tables of ``twist.MaskTwists``, and a
+successor is the subset XOR a step's move.  The same search engine, ``bfs_closure``,
 also runs the component-tuple closures of the stability decision.  The
 search keeps parent pointers; words are built only for reported states,
 each from its parent's word by one O(1) extension.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .graph import CoxeterGraph, MaskTable, VertexSet
+from .graph import CoxeterGraph, VertexSet
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
 
@@ -140,12 +140,11 @@ def _mask_twists(
 
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    table = g.table
-    found = words(bfs_closure([table.mask(g.subset(X))], _mask_twists(MaskTwists(g))))
-    return OrbitTable(tuple((table.names(Y), word) for Y, word in found.items()))
+    found = words(bfs_closure([g.mask(g.subset(X))], _mask_twists(MaskTwists(g))))
+    return OrbitTable(tuple((g.names(Y), word) for Y, word in found.items()))
 
 
-def _twist_key(table: MaskTable, X: int) -> Counter:
+def _twist_key(g: CoxeterGraph, X: int) -> Counter:
     """The multiset of the component types of mask X, a non-spherical
     component entering as its own mask; subsets of one twist orbit share it.
 
@@ -157,8 +156,8 @@ def _twist_key(table: MaskTable, X: int) -> Counter:
     1997).  A non-spherical component lies in no twistable C: it never
     moves."""
     key: Counter = Counter()
-    for c in table.components(X):
-        typed = table.typed(c)
+    for c in g.components(X):
+        typed = g.typed(c)
         key[c if typed is None else (c.bit_count(), str(typed.type))] += 1
     return key
 
@@ -174,9 +173,8 @@ def conjugator(
     Xps = g.subset(Xp)
     if Xs == Xps:
         return ConjugatorWord()
-    table = g.table
-    start, target = table.mask(Xs), table.mask(Xps)
-    if _twist_key(table, start) != _twist_key(table, target):
+    start, target = g.mask(Xs), g.mask(Xps)
+    if _twist_key(g, start) != _twist_key(g, target):
         return None
     parents = bfs_closure([start], _mask_twists(MaskTwists(g)), target.__eq__)
     return word_to(parents, target) if target in parents else None

@@ -30,7 +30,7 @@ from .classify import (
     classify_group,
     is_spherical,
 )
-from .graph import CoxeterGraph, MaskTable, VertexSet, components
+from .graph import CoxeterGraph, VertexSet, components
 from .orbit import Parents, bfs_closure, word_to, words
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
@@ -107,15 +107,14 @@ def tuple_twist(
 ) -> tuple[ComponentTuple, TwistFactor] | None:
     """Twist the union of the tuple at t, tracking each position's image;
     t must be adjacent to the union (see ``MaskTwists.step_at``)."""
-    table = g.table
-    step = MaskTwists(g).step_at(table.mask(g.subset([v for part in T for v in part])), t)
+    step = MaskTwists(g).step_at(g.mask(g.subset([v for part in T for v in part])), t)
     if step is None:
         return None
     _, _, images, factor = step
-    return tuple(table.names(images[table.mask(part)]) for part in T), factor
+    return tuple(g.names(images[g.mask(part)]) for part in T), factor
 
 
-# A component tuple written as part masks (see ``graph.MaskTable``).
+# A component tuple written as part masks (see ``CoxeterGraph.mask``).
 MaskTuple = tuple[int, ...]
 
 
@@ -198,29 +197,28 @@ def tuple_orbit(
 ) -> dict[ComponentTuple, ConjugatorWord]:
     """BFS closure of the component tuple of X1 under tuple twists at
     vertices satisfying ``allowed`` (all vertices when None)."""
-    table = g.table
-    bits = table.mask(v for v in g.generators if allowed is None or allowed(v))
-    start = table.components(table.mask(g.subset(X1)))
+    bits = g.mask(v for v in g.generators if allowed is None or allowed(v))
+    start = g.components(g.mask(g.subset(X1)))
     parents = _closure(Moves(MaskTwists(g), bits), start, INSIDE)
     return {
-        tuple(table.names(P) for P in T): word for T, word in words(parents).items()
+        tuple(g.names(P) for P in T): word for T, word in words(parents).items()
     }
 
 
 def _odd_extension(
-    table: MaskTable, inside: int, Y: int, end: str, outside: bool
+    g: CoxeterGraph, inside: int, Y: int, end: str, outside: bool
 ) -> str | None:
     """The first vertex t adjacent to the end vertex, outside X (or else in
     X but not in Y), such that the component of Y + t containing the end
     has type D of odd rank; inside is the mask of X."""
-    i = table.index[end]
-    near = table.nbrs[i] & (~inside if outside else inside & ~Y)
+    i = g.index[end]
+    near = g.nbrs[i] & (~inside if outside else inside & ~Y)
     while near:
         tbit = near & -near
         near ^= tbit
-        tc = table.typed(table.flood(1 << i, Y | tbit))
+        tc = g.typed(g.flood(1 << i, Y | tbit))
         if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
-            return table.gens[tbit.bit_length() - 1]
+            return g.generators[tbit.bit_length() - 1]
     return None
 
 
@@ -233,7 +231,7 @@ def _d_kind(t: IrreducibleType) -> str | None:
 
 
 def _find_d_obstruction(
-    table: MaskTable, inside: int, Y: int, Yp: TypedComponent
+    g: CoxeterGraph, inside: int, Y: int, Yp: TypedComponent
 ) -> tuple[str | None, str] | None:
     """(end, outside vertex) of an odd-D extension at an end of a D_2k or
     D_4 component of Y that no inside extension repairs, neither at the same
@@ -242,11 +240,11 @@ def _find_d_obstruction(
     p = Yp.positions
     ends = (p[0], p[1], p[3]) if Yp.type.rank == 4 else (p[-1],)
     for end in ends:
-        attach = _odd_extension(table, inside, Y, end, True)
-        if attach is None or _odd_extension(table, inside, Y, end, False) is not None:
+        attach = _odd_extension(g, inside, Y, end, True)
+        if attach is None or _odd_extension(g, inside, Y, end, False) is not None:
             continue
         others = [o for o in ends if o != end]
-        if others and all(_odd_extension(table, inside, Y, o, False) is not None for o in others):
+        if others and all(_odd_extension(g, inside, Y, o, False) is not None for o in others):
             continue
         return (end if others else None), attach
     return None
@@ -263,15 +261,14 @@ def _check_site(
     Xs, Ys = g.subset(X), g.subset(Y)
     if not set(Ys) <= set(Xs):
         raise ValueError("Y must be a subset of X")
-    table = g.table
-    Ym, comp = table.mask(Ys), table.mask(g.subset(Yp.positions))
+    Ym, comp = g.mask(Ys), g.mask(g.subset(Yp.positions))
     # a component of Y is what a flood within Y from its lowest bit reaches
     # (nothing unless that bit is in Y); recognition fixes type and positions
-    if table.flood(comp & -comp & Ym, Ym) != comp or table.typed(comp) != Yp:
+    if g.flood(comp & -comp & Ym, Ym) != comp or g.typed(comp) != Yp:
         raise ValueError("the typed component is not a component of Y")
     if _d_kind(Yp.type) != kind:
         raise ValueError(f"component has type {Yp.type}, expected {expected}")
-    return _find_d_obstruction(table, table.mask(Xs), Ym, Yp) is not None
+    return _find_d_obstruction(g, g.mask(Xs), Ym, Yp) is not None
 
 
 def check_d2k_exception(
@@ -306,7 +303,7 @@ def decide_stability(
     under all twists against the closure under twists inside X.  Returns
     the witness of the first obstruction found, or None when there is none
     and the subgroup is stable.  All three scans run on subset masks of
-    ``g.table``, which recognizes each component once per graph.  The
+    g, which recognizes each component once per graph.  The
     closures run on component tuples of part masks, with the border steps
     of each component and the twist steps of each union listed once per
     call (``MaskTwists``, ``Moves``) and dropped on return.  For a subset
@@ -324,20 +321,19 @@ def decide_stability(
     if len(Xs) > max_subset_size:
         raise SubsetSizeLimitError(len(Xs), max_subset_size)
 
-    table = g.table
-    inside = table.mask(Xs)
-    bits = [1 << table.index[v] for v in Xs]
+    inside = g.mask(Xs)
+    bits = [1 << g.index[v] for v in Xs]
     for kind in ("d2k_exception", "d4_exception"):
         for T in _subsets_descending(bits):
-            for comp in table.components(T):
-                tc = table.typed(comp)
+            for comp in g.components(T):
+                tc = g.typed(comp)
                 if tc is None or _d_kind(tc.type) != kind:
                     continue
-                site = _find_d_obstruction(table, inside, T, tc)
+                site = _find_d_obstruction(g, inside, T, tc)
                 if site is not None:
                     leaf, attach = site
                     return Witness(
-                        kind, table.names(T), component=tc.positions, leaf=leaf, attach=attach
+                        kind, g.names(T), component=tc.positions, leaf=leaf, attach=attach
                     )
 
     outside = ((1 << len(g.generators)) - 1) & ~inside
@@ -347,7 +343,7 @@ def decide_stability(
 
     moves = Moves(MaskTwists(g), inside)
     for X1 in _subsets_descending(bits):
-        start = table.components(X1)
+        start = g.components(X1)
         internal = _closure(moves, start, INSIDE)
         beyond = _beyond(moves, internal, within)
         if not (beyond and within(next(reversed(beyond)))):
@@ -356,8 +352,8 @@ def decide_stability(
         T = next(reversed(external))
         return Witness(
             "permutation",
-            subset=table.names(X1),
-            tuple=tuple(table.names(P) for P in T),
+            subset=g.names(X1),
+            tuple=tuple(g.names(P) for P in T),
             word=word_to(external, T),
         )
     return None

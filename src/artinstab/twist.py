@@ -4,9 +4,9 @@ Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
 each twistable component (and fixes everything else).  ``MaskTwists`` is
 the one place that computes an elementary twist: on subsets written as int
-masks, with each component recognized once per graph (``graph.MaskTable``)
-and twisted once per call.  The twist at t adds
-t and removes its image, so each step carries that pair of bits as its
+masks of the graph, with each component recognized once per graph
+(``CoxeterGraph.typed``) and twisted once per call.  The twist at t adds t
+and removes its image, so each step carries that pair of bits as its
 move, and the twisted subset is the subset XOR the move.  Every search
 runs on it, and ``elementary_twist`` is a thin wrapper over it on name
 tuples.  Words of signed factors are kept symbolic, and a word extended by
@@ -120,18 +120,17 @@ def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> 
     Defined only when every element of X lies in V or commutes with all of V,
     and V is spherical.
     """
-    table = g.table
-    Vm, Xm = table.mask(g.subset(V)), table.mask(g.subset(X))
+    Vm, Xm = g.mask(g.subset(V)), g.mask(g.subset(X))
     tw, out = MaskTwists(g), Xm & ~Vm
-    for comp in table.components(Vm):
-        if table.typed(comp) is None:
-            raise ValueError(f"subset is not of spherical type: {list(table.names(comp))}")
+    for comp in g.components(Vm):
+        if g.typed(comp) is None:
+            raise ValueError(f"subset is not of spherical type: {list(g.names(comp))}")
         twist = tw._twist(comp)
         out |= Xm & comp if twist is None else twist[0][Xm & comp]
     for i in _bits(Xm & ~Vm):
-        if table.nbrs[i] & Vm:
-            raise DeltaActionUndefined(table.gens[i], table.names(Vm))
-    return table.names(out)
+        if g.nbrs[i] & Vm:
+            raise DeltaActionUndefined(g.generators[i], g.names(Vm))
+    return g.names(out)
 
 
 class Images(dict):
@@ -164,11 +163,11 @@ class MaskTwists:
     """Twists of subsets written as int masks, for one call: the twist of
     each component, and the twist steps at the border of each component of
     the subsets a search reaches.  Built per call and dropped with it; the
-    masks and the recognized components come from ``g.table``, which stays
-    with the graph."""
+    masks and the recognized components come from the graph g, which keeps
+    them."""
 
     def __init__(self, g: CoxeterGraph):
-        self.table = g.table
+        self.g = g
         self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
         # component mask -> its border and its steps there (see ``_alone``)
         self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
@@ -178,14 +177,14 @@ class MaskTwists:
         that conjugation by its Garside element induces on its bits, and
         that factor; None unless the component is twistable (a component of
         infinite type is not)."""
-        table = self.table
-        tc = table.typed(comp)
+        g = self.g
+        tc = g.typed(comp)
         images = None if tc is None else _delta_images(tc.type)
         twist = None
         if images is not None:
-            bits = [1 << table.index[v] for v in tc.positions]
+            bits = [1 << g.index[v] for v in tc.positions]
             perm = dict(zip(bits, map(bits.__getitem__, images)))
-            twist = Images(perm), TwistFactor(table.names(comp), 1)  # = tc.vertices
+            twist = Images(perm), TwistFactor(g.names(comp), 1)  # = tc.vertices
         self.twists[comp] = twist
         return twist
 
@@ -200,18 +199,18 @@ class MaskTwists:
         """The step of the subset mask Y at the generator t, None when the
         component of Y + t containing t is not twistable.  An unknown t is
         a GraphError, and a t that is not adjacent to Y a ValueError."""
-        table = self.table
-        (t,) = table.g.subset((t,))
-        i = table.index[t]
-        if Y >> i & 1 or not table.nbrs[i] & Y:
-            raise ValueError(f"{t!r} is not adjacent to {list(table.names(Y))}")
-        return self._step(1 << i, table.flood(1 << i, Y | 1 << i))
+        g = self.g
+        (t,) = g.subset((t,))
+        i = g.index[t]
+        if Y >> i & 1 or not g.nbrs[i] & Y:
+            raise ValueError(f"{t!r} is not adjacent to {list(g.names(Y))}")
+        return self._step(1 << i, g.flood(1 << i, Y | 1 << i))
 
     def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
         """(the border of the component mask C, the steps at each border bit
         t when t is adjacent to C alone, so that C + t is the component of
         t), kept for the call in ``borders``."""
-        nbrs = self.table.nbrs
+        nbrs = self.g.nbrs
         border = 0
         for i in _bits(C):
             border |= nbrs[i]
@@ -234,7 +233,7 @@ class MaskTwists:
         steps at a t adjacent to one component alone come from that
         component's list, and only the others are flooded and recognized
         here.  The list may be shared: do not modify it."""
-        borders, flood, parts, rest = self.borders, self.table.flood, [], Y
+        borders, flood, parts, rest = self.borders, self.g.flood, [], Y
         while rest:  # one flood per component of Y
             C = flood(rest & -rest, rest)
             rest ^= C
@@ -267,12 +266,12 @@ def elementary_twist(
     twistable.  The new set has the same size as Y.  t must be adjacent
     to Y (see ``MaskTwists.step_at``).
     """
-    Ym = g.table.mask(g.subset(Y))
+    Ym = g.mask(g.subset(Y))
     step = MaskTwists(g).step_at(Ym, t)
     if step is None:
         return None
     _, move, _, factor = step
-    return g.table.names(Ym ^ move), factor
+    return g.names(Ym ^ move), factor
 
 
 def apply_word(g: CoxeterGraph, X: Iterable[str], w: ConjugatorWord) -> VertexSet:

@@ -1,0 +1,166 @@
+"""Mutation checks: each mutant is a small wrong change to the library that
+the tier-1 tests must catch.
+
+Run from the repository root with ``python tests/mutants.py``.  For each
+entry marked "killed" the script copies the tree to a temporary directory,
+replaces the entry's old text by its new text and runs the tier-1 tests
+with ``-x``.  It exits non-zero when a mutant survives, or when the old
+text of any entry does not occur exactly once in its file, so that an
+entry whose line moved is updated rather than silently skipped.  An entry
+marked "equivalent: <reason>" changes no result, only the cost; it is
+listed and its text checked, but not run.  The unchanged copy runs first:
+when it fails, no mutant can be told killed, and the script stops.
+Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # a mutant that makes the tests hang counts as killed
+
+# (name, file, old text, new text, "killed" or "equivalent: <reason>")
+MUTANTS = [
+    (
+        "odd-D prongs not swapped",
+        "src/artinstab/classify.py",
+        "return (1, 0, *range(2, n))",
+        "return (0, 1, *range(2, n))",
+        "killed",
+    ),
+    (
+        "E6 twist made the identity",
+        "src/artinstab/classify.py",
+        "return (0, 5, 4, 3, 2, 1)",
+        "return (0, 1, 2, 3, 4, 5)",
+        "killed",
+    ),
+    (
+        "A_n twist made the identity",
+        "src/artinstab/classify.py",
+        "return tuple(range(n - 1, -1, -1))",
+        "return tuple(range(n))",
+        "killed",
+    ),
+    (
+        "odd-D candidates outside X and inside X swapped",
+        "src/artinstab/stability.py",
+        "near = g.nbrs[i] & (~inside if outside else inside & ~Y)",
+        "near = g.nbrs[i] & (inside & ~Y if outside else ~inside)",
+        "killed",
+    ),
+    (
+        "D_4 rescue relaxed from all other ends to any one",
+        "src/artinstab/stability.py",
+        "if others and all(_odd_extension(",
+        "if others and any(_odd_extension(",
+        "killed",
+    ),
+    (
+        "type key taken by mask",
+        "src/artinstab/orbit.py",
+        "key[c if typed is None else (c.bit_count(), str(typed.type))] += 1",
+        "key[c] += 1",
+        "killed",
+    ),
+    (
+        "vertices shared by two components' borders ignored",
+        "src/artinstab/twist.py",
+        "multi |= seen & border",
+        "multi |= 0",
+        "killed",
+    ),
+    (
+        "the memo of recognized components pickled and copied with the graph",
+        "src/artinstab/graph.py",
+        "    def __reduce__(self):  # pickle and copy the fields, not the memo\n"
+        "        return CoxeterGraph, (self.generators, self.labels)\n",
+        "",
+        "killed",
+    ),
+    (
+        "move back not skipped in the orbit search",
+        "src/artinstab/orbit.py",
+        "if move and factor is not back",
+        "if move",
+        "equivalent: the move back leads to the state that discovered this"
+        " one, which the search has already recorded, so only the cost changes",
+    ),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench"
+)
+
+
+def text_errors() -> list[str]:
+    errors = []
+    for name, path, old, _, _ in MUTANTS:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            errors.append(f"{name}: old text occurs {count} times in {path}")
+    return errors
+
+
+def tier1(path: str | None = None, old: str = "", new: str = "") -> str | None:
+    """Run tier-1 on a copy of the tree, with old replaced by new in path
+    when a path is given: None when it passes, else the first failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        if path is not None:
+            target = tree / path
+            target.write_text(target.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        try:
+            run = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True,
+                                 text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s"
+        if run.returncode == 0:
+            return None
+        lines = run.stdout.splitlines()
+        failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+        return failed[0] if failed else f"exit {run.returncode}"
+
+
+def main() -> int:
+    control = tier1()
+    if control is not None:
+        print(f"the unchanged tree fails tier-1: {control}")
+        return 1
+    errors = text_errors()
+    for message in errors:
+        print(f"STALE  {message}")
+    survived = []
+    for name, path, old, new, expected in MUTANTS:
+        if expected != "killed":
+            print(f"skip   {name} ({expected})")
+            continue
+        if any(message.startswith(f"{name}:") for message in errors):
+            continue
+        start = time.perf_counter()
+        failure = tier1(path, old, new)
+        took = f"{time.perf_counter() - start:.1f} s"
+        if failure is None:
+            survived.append(name)
+            print(f"ALIVE  {name} ({took})", flush=True)
+        else:
+            print(f"killed {name} ({took}): {failure}", flush=True)
+    if errors or survived:
+        print(f"{len(survived)} mutant(s) survived, {len(errors)} stale entr(ies)")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

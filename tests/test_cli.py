@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from artinstab import expand_subset, orbit, standard_graph, to_json_dict
+from artinstab import UnsupportedTypeError, expand_subset, orbit, standard_graph, to_json_dict
 from artinstab.cli import _COMMANDS, _build_parser, _parse_well_formed, main
 
 E7 = {
@@ -332,6 +332,33 @@ def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch, e7_f
     monkeypatch.setattr("artinstab.cli.classify_group", broken)
     with pytest.raises(ValueError, match="internal invariant broken"):
         main(["classify", "--graph", e7_file])
+
+
+def test_unsupported_type_error_inside_a_command_propagates(monkeypatch, e7_file):
+    def broken(g, V):
+        raise UnsupportedTypeError("no model for this type")
+
+    monkeypatch.setattr("artinstab.cli.expand_subset", broken)
+    with pytest.raises(UnsupportedTypeError, match="no model for this type"):
+        main(["orbit", "--graph", e7_file, "--subset", "s1", "--expand-words"])
+
+
+@pytest.mark.parametrize("shape", [("H", 3), ("H", 4), ("I2", 0, 5), ("I2", 0, 7)], ids=str)
+def test_types_outside_the_oracle_are_answered(capsys, tmp_path, shape):
+    g = standard_graph(*shape)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(to_json_dict(g)))
+    every = ",".join(g.generators)
+    for argv in (
+        ["type", "--subset", every],
+        ["orbit", "--subset", "s1", "--expand-words"],
+        ["conjugate", "--subset", "s1", "--target", "s2", "--expand-words"],
+        ["stability", "--subset", every, "--mode", "force", "--expand-words"],
+        ["classify"],
+    ):
+        code, out, err = run(capsys, *argv, "--graph", str(path), "--format", "json")
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
-"""The mask table a graph keeps: ``CoxeterGraph.table`` is built on first
-use and kept with the graph object, with its memo of recognized
-components.  A graph that has already served other queries, in another
-order, must answer every query as a fresh graph does, and still compare,
-print, pickle and copy as a fresh graph."""
+"""What a graph keeps between calls: ``CoxeterGraph.types``, the memo of
+recognized components, filled by queries and kept with the graph object.
+A graph that has already served other queries, in another order, must
+answer every query as a fresh graph does, and still compare, print, pickle
+and copy as a fresh graph; a clone starts with an empty memo."""
 
 import copy
 import pickle
@@ -21,7 +21,6 @@ from artinstab import (
     recognize_component,
     standard_graph,
 )
-from artinstab.graph import MaskTable
 
 from conftest import build_graph, random_graph, random_subset
 
@@ -82,7 +81,7 @@ def test_a_warm_graph_answers_as_a_fresh_one():
                 compared += 1
         assert warm == g and repr(warm) == repr(g)
         for clone in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
-            assert "table" not in vars(clone)  # the memo is not carried along
+            assert clone.types == {}  # the memo is not carried along
             assert clone == warm and repr(clone) == repr(warm)
             for name, call in calls:
                 assert call(clone) == fresh[name], (g, name)
@@ -94,7 +93,7 @@ def test_threads_sharing_a_fresh_graph_answer_as_one_thread_does():
     for g in (standard_graph("E", 8), affine_a(7)):
         calls = queries(g, rng)
         expected = {name: call(rebuilt(g)) for name, call in calls}
-        shared = rebuilt(g)  # its table and memo are filled by the threads
+        shared = rebuilt(g)  # its memo is filled by the threads
         results, errors = [], []
 
         def work(seed):
@@ -122,29 +121,42 @@ def test_threads_sharing_a_fresh_graph_answer_as_one_thread_does():
             assert got == expected[name], (g, name)
 
 
-def test_a_graph_builds_its_table_once_and_only_on_use():
+def test_queries_fill_the_memo_and_the_graph_keeps_it():
     g = standard_graph("D", 8)
-    assert "table" not in vars(g)
-    table = g.table
+    memo = g.types
+    assert memo == {}
     classify_group(g)
+    after_classify = dict(memo)
+    assert after_classify
     orbit(g, ("s1", "s3"))
-    assert g.table is table and table.types  # the memo is filled and kept
+    decide_stability(g, ("s1", "s2", "s3", "s5"))
+    assert g.types is memo and after_classify.items() < memo.items()
+    fresh = rebuilt(g)
+    for comp, typed in memo.items():  # each entry is what a fresh graph recognizes
+        assert typed == recognize_component(fresh, g.names(comp)), g.names(comp)
 
 
-def test_replaying_a_word_builds_at_most_one_table(monkeypatch):
+def test_a_pickled_or_copied_graph_starts_with_an_empty_memo():
+    g = standard_graph("E", 8)
+    classify_group(g)
+    decide_stability(g, ("s1", "s3", "s4", "s5"))
+    assert g.types
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert clone.types == {} and clone.types is not g.types
+        assert clone == g and repr(clone) == repr(g)
+        masks = (clone.index, clone.nbrs, clone.three, clone.inf)
+        assert masks == (g.index, g.nbrs, g.three, g.inf)
+        assert classify_group(clone) == classify_group(g)
+        assert clone.types.keys() <= g.types.keys()
+
+
+def test_replaying_a_word_a_second_time_adds_no_memo_entry():
     X = ("s1", "s3", "s5")
     Y, word = orbit(standard_graph("A", 40), X).entries[-1]
-    assert len(word) > 100
-    built = []
-    init = MaskTable.__init__
-
-    def counting(self, g):
-        built.append(g)
-        init(self, g)
-
-    monkeypatch.setattr(MaskTable, "__init__", counting)
+    assert len(word) == 105
     g = standard_graph("A", 40)
     assert apply_word(g, X, word) == Y
-    assert len(built) <= 1
-    assert apply_word(g, X, word) == Y  # the same graph: its table is kept
-    assert len(built) <= 1
+    first = dict(g.types)
+    assert first
+    assert apply_word(g, X, word) == Y  # the same graph: its memo is kept
+    assert g.types == first

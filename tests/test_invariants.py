@@ -1,0 +1,92 @@
+"""Verdicts checked against two facts about the group that the decision
+never computes.
+
+* Conjugacy stability is a property of the conjugacy class of P_X, so every
+  member of ``orbit(g, X)`` gets the verdict of X.
+* A label-preserving automorphism sigma of the graph is an automorphism of
+  the group, so sigma(X) gets the verdict of X.
+
+The verdict is whether ``decide_stability`` finds a witness; the witnesses
+themselves may differ.
+"""
+
+import random
+from itertools import combinations, permutations
+
+from artinstab import INFINITY, CoxeterGraph, decide_stability, orbit, standard_graph
+
+# every label the catalog knows, 6 (G_2) and the odd 7 included, which
+# ``conftest.random_graph`` never draws; weighted toward 2 and 3 as there
+LABELS = (2, 2, 2, 3, 3, 3, 3, 4, 5, 6, 7, INFINITY)
+
+SHAPES = (
+    [("A", n) for n in range(2, 7)]
+    + [("B", n) for n in range(2, 6)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("F", 4), ("H", 3), ("I2", 0, 6), ("I2", 0, 7)]
+)
+
+
+def random_graph(rng: random.Random) -> CoxeterGraph:
+    names = list("abcdef"[: rng.randint(3, 6)])
+    rels = [(s, t, rng.choice(LABELS)) for s, t in combinations(names, 2)]
+    return CoxeterGraph.build(names, [(s, t, m) for s, t, m in rels if m != 2])
+
+
+def verdicts(g: CoxeterGraph) -> dict[tuple[str, ...], bool]:
+    """Whether each non-empty subset is stable, keyed by its sorted names."""
+    return {
+        X: decide_stability(g, X) is None
+        for r in range(1, len(g.generators) + 1)
+        for X in combinations(g.generators, r)
+    }
+
+
+def automorphisms(g: CoxeterGraph) -> list[dict[str, str]]:
+    gens = g.generators
+    out = []
+    for image in permutations(gens):
+        sigma = dict(zip(gens, image))
+        if all(g.label(sigma[s], sigma[t]) == g.label(s, t) for s, t in combinations(gens, 2)):
+            out.append(sigma)
+    return out
+
+
+def test_every_member_of_an_orbit_gets_the_verdict_of_the_start():
+    rng = random.Random(0x0B17)
+    graphs = [standard_graph(*shape) for shape in SHAPES]
+    graphs += [random_graph(rng) for _ in range(60)]
+    decided = moved = 0
+    seen_labels = set()
+    kinds = set()
+    for g in graphs:
+        seen_labels.update(g.labels.values())
+        verdict = verdicts(g)
+        decided += len(verdict)
+        kinds.update(verdict.values())
+        done = set()
+        for X in verdict:
+            if X in done:
+                continue
+            members = orbit(g, X).subsets()
+            done.update(members)
+            moved += len(members) > 1
+            mixed = {Y: verdict[Y] for Y in members if verdict[Y] != verdict[X]}
+            assert not mixed, (g, X, verdict[X], mixed)
+    assert seen_labels >= {3, 4, 5, 6, 7, INFINITY}
+    assert kinds == {True, False} and moved > 150 and decided > 2000, (moved, decided)
+
+
+def test_a_diagram_automorphism_keeps_the_verdict():
+    checked = 0
+    for shape in [("A", 5), ("D", 4), ("D", 5), ("E", 6), ("F", 4)]:
+        g = standard_graph(*shape)
+        sigmas = [s for s in automorphisms(g) if any(v != w for v, w in s.items())]
+        assert sigmas, shape
+        verdict = verdicts(g)
+        for X, stable in verdict.items():
+            for sigma in sigmas:
+                image = tuple(sorted(sigma[v] for v in X))
+                assert verdict[image] == stable, (shape, X, image)
+                checked += 1
+    assert checked > 200, checked

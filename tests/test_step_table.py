@@ -107,14 +107,13 @@ def test_shared_step_table_closures_equal_name_tuple_reference():
         ref = Reference(g)
         # one set of tables for every subset, as in the decision
         tw = MaskTwists(g)
-        table = g.table
-        moves = Moves(tw, table.mask(X))
+        moves = Moves(tw, g.mask(X))
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
-                start = table.components(table.mask(X1))
+                start = g.components(g.mask(X1))
                 for which, inside in ((INSIDE, set(X)), (EVERYWHERE, None)):
                     got = words(_closure(moves, start, which)).items()
-                    got = [(tuple(table.names(P) for P in T), w) for T, w in got]
+                    got = [(tuple(g.names(P) for P in T), w) for T, w in got]
                     assert got == list(ref.closure(X1, inside).items()), (g, X, X1)
                     compared += 1
     assert compared > 5000
@@ -124,12 +123,11 @@ def test_internal_closure_and_its_beyond_make_the_external_closure():
     compared = failing = 0
     for g, X in reference_cases():
         tw = MaskTwists(g)
-        table = g.table
-        inside = table.mask(X)
+        inside = g.mask(X)
         moves = Moves(tw, inside)  # shared by every subset, as in the decision
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
-                start = table.components(table.mask(X1))
+                start = g.components(g.mask(X1))
                 internal = _closure(moves, start, INSIDE)
                 beyond = _beyond(moves, internal)
                 external = _closure(moves, start, EVERYWHERE)
@@ -140,23 +138,23 @@ def test_internal_closure_and_its_beyond_make_the_external_closure():
     assert compared > 3500 and failing > 200, (compared, failing)
 
 
-def flood_steps(table, Y):
+def flood_steps(g, Y):
     """(bit of t, the bits of t and of its image (0 when they are one),
     the permutation of bits of the component of Y + t containing t, its
     factor) for each twistable neighbour t of Y in increasing bit order,
     with one flood within Y + t per t and public recognition."""
     near = 0
-    for i in range(len(table.gens)):
+    for i in range(len(g.generators)):
         if Y >> i & 1:
-            near |= table.nbrs[i]
+            near |= g.nbrs[i]
     out = []
-    for i in range(len(table.gens)):
+    for i in range(len(g.generators)):
         tbit = 1 << i
         if near & tbit and not Y & tbit:
-            comp = table.flood(tbit, Y | tbit)
-            tc = recognize_component(table.g, table.names(comp))
+            comp = g.flood(tbit, Y | tbit)
+            tc = recognize_component(g, g.names(comp))
             if tc is not None and is_twistable(tc):
-                bit = {v: 1 << table.index[v] for v in tc.vertices}
+                bit = {v: 1 << g.index[v] for v in tc.vertices}
                 perm = {bit[v]: bit[w] for v, w in delta_automorphism(tc).items()}
                 assert sum(perm) == comp
                 out.append((tbit, tbit ^ perm[tbit], perm, TwistFactor(tc.vertices, 1)))
@@ -169,12 +167,11 @@ def test_steps_from_components_equal_one_flood_per_neighbour():
     for _ in range(30):
         g = random_graph(rng, max_vertices=10, min_vertices=7)
         tw = MaskTwists(g)  # one set of tables for every subset
-        table = g.table
         for Y in range(1 << len(g.generators)):
             got = [(t, move, images.perm, factor) for t, move, images, factor in tw.steps(Y)]
-            assert got == flood_steps(table, Y), (g, table.names(Y))
+            assert got == flood_steps(g, Y), (g, g.names(Y))
             for _, _, perm, _ in got:
-                shared += sum(1 for c in table.components(Y) if c & sum(perm)) >= 2
+                shared += sum(1 for c in g.components(Y) if c & sum(perm)) >= 2
     assert shared > 400, shared
 
 

@@ -194,10 +194,9 @@ def test_a_twist_fixing_t_is_a_zero_move_that_swaps_parts(shape, X, t, swapped):
     g = standard_graph(*shape)
     factor = TwistFactor(g.generators, 1)
     tw = MaskTwists(g)
-    table = g.table
-    Y = table.mask(X)
+    Y = g.mask(X)
     tbit, move, _, step_factor = tw.step_at(Y, t)
-    assert (tbit, move, step_factor) == (table.mask([t]), 0, factor)
+    assert (tbit, move, step_factor) == (g.mask([t]), 0, factor)
     assert elementary_twist(g, X, t) == (X, factor)
     assert _mask_twists(tw)(Y, None) == []  # t is the only neighbour of X
     assert orbit(g, X).subsets() == (X,)
@@ -212,12 +211,11 @@ def test_a_zero_move_is_skipped_beside_the_others():
     # s6 (A3 on s4, s5, s6) sends s6 to s4
     a7 = standard_graph("A", 7)
     tw = MaskTwists(a7)
-    table = a7.table
-    Y = table.mask(("s1", "s2", "s4", "s5"))
-    moves = {table.names(tbit): move for tbit, move, _, _ in tw.steps(Y)}
-    assert moves == {("s3",): 0, ("s6",): table.mask(("s4", "s6"))}
+    Y = a7.mask(("s1", "s2", "s4", "s5"))
+    moves = {a7.names(tbit): move for tbit, move, _, _ in tw.steps(Y)}
+    assert moves == {("s3",): 0, ("s6",): a7.mask(("s4", "s6"))}
     successors = _mask_twists(tw)(Y, None)
-    assert [(table.names(Z), f.subset) for Z, f in successors] == [
+    assert [(a7.names(Z), f.subset) for Z, f in successors] == [
         (("s1", "s2", "s5", "s6"), ("s4", "s5", "s6"))
     ]
 
