@@ -8,7 +8,8 @@ catalog and returns a canonical position labeling; everything downstream
 positions.  One recognizer, ``_recognize``, does the matching on the masks
 of a ``CoxeterGraph``, whose ``typed`` keeps each result with the graph;
 ``recognize_component``, ``is_spherical``, ``classify_group`` and the
-twists all read that memo.
+twists all read that memo.  The diagrams themselves are written once, in
+``_diagram``, which ``standard_graph`` and the Weyl-group oracle read.
 """
 
 from __future__ import annotations
@@ -363,49 +364,41 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
     )
 
 
-def standard_graph(family: str, n: int = 0, m: int = 0) -> CoxeterGraph:
-    """Build the catalog diagram of the given type on generators s1..sn."""
-    def name(i: int) -> str:
-        return f"s{i}"
+# The catalog diagrams other than I2, by family: the smallest and the largest
+# rank (None: unbounded), the rank rule as an error states it, the edges off
+# the label-3 path and the position where that path starts; it runs to n.
+_CATALOG = {
+    "A": (1, None, "rank >= 1", {}, 0),
+    "B": (2, None, "rank >= 2", {(0, 1): 4}, 1),
+    "D": (4, None, "rank >= 4", {(0, 2): 3, (1, 2): 3}, 2),
+    "E": (6, 8, "rank 6, 7 or 8", {(0, 3): 3}, 1),
+    "F": (4, 4, "rank 4", {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 3),
+    "H": (3, 4, "rank 3 or 4", {(0, 1): 5}, 1),
+}
 
+
+def _diagram(family: str, n: int, m: int = 0) -> dict[tuple[int, int], int]:
+    """The labelled edges of a catalog diagram as 0-based position pairs,
+    numbered as in ``TypedComponent``; I2 has rank 2 and edge label m.
+    Raises ValueError for a type outside the catalog."""
     if family == "I2":
         if m < 3:
             raise ValueError("I2 needs an edge label m >= 3")
-        return CoxeterGraph.build([name(1), name(2)], [(name(1), name(2), m)])
-
-    rels: list[tuple[str, str, int]] = []
-    if family == "A":
-        if n < 1:
-            raise ValueError("A needs rank >= 1")
-        rels = [(name(i), name(i + 1), 3) for i in range(1, n)]
-    elif family == "B":
-        if n < 2:
-            raise ValueError("B needs rank >= 2")
-        rels = [(name(1), name(2), 4)]
-        rels += [(name(i), name(i + 1), 3) for i in range(2, n)]
-    elif family == "D":
-        if n < 4:
-            raise ValueError("D needs rank >= 4")
-        rels = [(name(1), name(3), 3), (name(2), name(3), 3)]
-        rels += [(name(i), name(i + 1), 3) for i in range(3, n)]
-    elif family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E needs rank 6, 7 or 8")
-        rels = [(name(1), name(4), 3)]
-        rels += [(name(i), name(i + 1), 3) for i in range(2, n)]
-    elif family == "F":
-        if n != 4:
-            raise ValueError("F needs rank 4")
-        rels = [
-            (name(1), name(2), 3),
-            (name(2), name(3), 4),
-            (name(3), name(4), 3),
-        ]
-    elif family == "H":
-        if n not in (3, 4):
-            raise ValueError("H needs rank 3 or 4")
-        rels = [(name(1), name(2), 5)]
-        rels += [(name(i), name(i + 1), 3) for i in range(2, n)]
-    else:
+        return {(0, 1): m}
+    if family not in _CATALOG:
         raise ValueError(f"unknown family {family!r}")
-    return CoxeterGraph.build([name(i) for i in range(1, n + 1)], rels)
+    low, high, rule, edges, start = _CATALOG[family]
+    if n < low or (high is not None and n > high):
+        raise ValueError(f"{family} needs {rule}")
+    return {**edges, **{(i, i + 1): 3 for i in range(start, n - 1)}}
+
+
+def standard_graph(family: str, n: int = 0, m: int = 0) -> CoxeterGraph:
+    """Build the catalog diagram of the given type on generators s1..sn
+    (s1, s2 for I2(m), whatever n is)."""
+    edges = _diagram(family, n, m)
+    n = 2 if family == "I2" else n
+    return CoxeterGraph.build(
+        [f"s{i}" for i in range(1, n + 1)],
+        [(f"s{i + 1}", f"s{j + 1}", label) for (i, j), label in edges.items()],
+    )

@@ -58,7 +58,9 @@ class CoxeterGraph:
     The sorted generator order is the canonical order; every deterministic
     choice downstream (component ordering, BFS frontiers, serialization)
     derives from it.  ``labels`` maps each sorted pair with m != 2 to m;
-    ``label`` reads a missing pair as 2.  Only these two fields take part in
+    ``label`` reads a missing pair as 2.  The constructor raises GraphError
+    when either field breaks these rules; ``build`` sorts and filters free
+    input into them.  Only these two fields take part in
     equality, ``repr``, pickling and copying; the masks and the memo of
     recognized components (``types``) are built from them, so a clone starts
     with an empty memo.
@@ -68,11 +70,20 @@ class CoxeterGraph:
     labels: dict[tuple[str, str], Label]
 
     def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.generators)}
+        gens = self.generators
+        if not (isinstance(gens, tuple) and gens and all(map(_valid_name, gens))
+                and all(map(str.__lt__, gens, gens[1:]))):
+            raise GraphError(f"generators must be distinct valid names in sorted order: {gens!r}")
+        index = {v: i for i, v in enumerate(gens)}
         n = len(index)
         nbrs, three, inf = [0] * n, [0] * n, [0] * n
-        for (s, t), m in self.labels.items():  # every stored label is >= 3
-            i, j = index[s], index[t]
+        for key, m in self.labels.items():
+            s, t = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            i, j = index.get(s, n), index.get(t, -1)
+            if not i < j:  # two generators, in sorted order
+                raise GraphError(f"label key {key!r} is not a sorted pair of generators")
+            if m == 2 or not _valid_label(m):
+                raise GraphError(f"invalid label {m!r} for pair {key!r}")
             nbrs[i] |= 1 << j
             nbrs[j] |= 1 << i
             if m == 3 or m == INFINITY:
@@ -133,9 +144,6 @@ class CoxeterGraph:
 
     def label(self, s: str, t: str) -> Label:
         return self.labels.get(_pair(s, t), 2)
-
-    def has_edge(self, s: str, t: str) -> bool:
-        return self.label(s, t) >= 3
 
     def subset(self, names: Iterable[str]) -> VertexSet:
         """Normalize to a canonical sorted vertex tuple, validating membership."""

@@ -1,10 +1,12 @@
 """Brute-force finite Coxeter group engine over exact integer root lattices.
 
 Crystallographic types (A, B, D, E, F) are handled through integer matrices
-acting on the root lattice in the simple-root basis; dihedral types I2(m)
-through a direct model of the dihedral group of order 2m.  This machinery is
-deliberately independent of the diagram-reflection formulas in the twist
-module, so the two can be checked against each other.
+acting on the root lattice in the simple-root basis, built on the diagram that
+the shared catalog (``classify._diagram``) gives; dihedral types I2(m) through
+a direct model of the dihedral group of order 2m.  The independence lies in
+the arithmetic: the longest element is found by descent on roots, never from
+the diagram involutions (``classify._delta_images``) that the twists use, so
+the two can be checked against each other.
 
 H_3 and H_4 are not supported: they would need exact golden-ratio
 arithmetic, they are never twistable, and their longest element is central.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import TypedComponent, recognize_component
+from .classify import TypedComponent, _diagram, recognize_component
 from .graph import CoxeterGraph, components
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -58,28 +60,6 @@ def _matvec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(m[i][k] * v[k] for k in range(n)) for i in range(n))
 
 
-def _template_edges(t) -> dict[tuple[int, int], int]:
-    """Edges of the diagram in position numbering (0-based pairs)."""
-    n = t.rank
-    if t.family == "A":
-        return {(i, i + 1): 3 for i in range(n - 1)}
-    if t.family == "B":
-        edges = {(0, 1): 4}
-        edges.update({(i, i + 1): 3 for i in range(1, n - 1)})
-        return edges
-    if t.family == "D":
-        edges = {(0, 2): 3, (1, 2): 3}
-        edges.update({(i, i + 1): 3 for i in range(2, n - 1)})
-        return edges
-    if t.family == "E":
-        edges = {(0, 3): 3}
-        edges.update({(i, i + 1): 3 for i in range(1, n - 1)})
-        return edges
-    if t.family == "F":
-        return {(0, 1): 3, (1, 2): 4, (2, 3): 3}
-    raise UnsupportedTypeError(f"no crystallographic template for {t}")
-
-
 def _cartan_matrix(t) -> list[list[int]]:
     """Cartan matrix in position order.  On a label-4 edge the smaller
     position takes the -2 entry; the orientation never affects the longest
@@ -88,7 +68,7 @@ def _cartan_matrix(t) -> list[list[int]]:
         raise UnsupportedTypeError(f"{t} is not crystallographic")
     n = t.rank
     cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), m in _template_edges(t).items():
+    for (i, j), m in _diagram(t.family, n).items():
         if m == 3:
             cartan[i][j] = cartan[j][i] = -1
         else:

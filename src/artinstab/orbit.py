@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .graph import CoxeterGraph, VertexSet
@@ -29,23 +28,11 @@ class OrbitTable:
 
     The first entry is always the start subset with the empty word, and
     applying any entry's word to the start subset yields the entry's key.
-    Lookups go through the same map as a dict, built on first use.
+    Iterating yields the (subset, word) entries, so ``dict(table)`` maps
+    each subset to its word.
     """
 
     entries: tuple[tuple[VertexSet, ConjugatorWord], ...]
-
-    @cached_property
-    def _index(self) -> dict[VertexSet, ConjugatorWord]:
-        return dict(self.entries)
-
-    def subsets(self) -> tuple[VertexSet, ...]:
-        return tuple(key for key, _ in self.entries)
-
-    def word_for(self, Y: VertexSet) -> ConjugatorWord | None:
-        return self._index.get(Y)
-
-    def __contains__(self, Y: VertexSet) -> bool:
-        return Y in self._index
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -30,7 +30,7 @@ from .classify import (
     classify_group,
     is_spherical,
 )
-from .graph import CoxeterGraph, VertexSet, components
+from .graph import CoxeterGraph, VertexSet, _bits, components
 from .orbit import Parents, bfs_closure, word_to, words
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
@@ -205,21 +205,17 @@ def tuple_orbit(
     }
 
 
-def _odd_extension(
-    g: CoxeterGraph, inside: int, Y: int, end: str, outside: bool
-) -> str | None:
-    """The first vertex t adjacent to the end vertex, outside X (or else in
-    X but not in Y), such that the component of Y + t containing the end
-    has type D of odd rank; inside is the mask of X."""
+def _odd_extensions(g: CoxeterGraph, Y: int, end: str) -> int:
+    """The mask of every vertex t outside Y, adjacent to the end vertex,
+    such that the component of Y + t containing the end has type D of odd
+    rank."""
     i = g.index[end]
-    near = g.nbrs[i] & (~inside if outside else inside & ~Y)
-    while near:
-        tbit = near & -near
-        near ^= tbit
-        tc = g.typed(g.flood(1 << i, Y | tbit))
+    found = 0
+    for j in _bits(g.nbrs[i] & ~Y):
+        tc = g.typed(g.flood(1 << i, Y | 1 << j))
         if tc is not None and tc.type.family == "D" and tc.type.rank % 2 == 1:
-            return g.generators[tbit.bit_length() - 1]
-    return None
+            found |= 1 << j
+    return found
 
 
 def _d_kind(t: IrreducibleType) -> str | None:
@@ -235,18 +231,20 @@ def _find_d_obstruction(
 ) -> tuple[str | None, str] | None:
     """(end, outside vertex) of an odd-D extension at an end of a D_2k or
     D_4 component of Y that no inside extension repairs, neither at the same
-    end nor at all the other ends when there are any.  The ends are the tail
-    of D_2k, reported as None, and the three leaves of D_4."""
+    end nor at all the other ends when there are any, with inside the mask
+    of X and the outside vertex the first in generator order.  The ends are
+    the tail of D_2k, reported as None, and the three leaves of D_4."""
     p = Yp.positions
     ends = (p[0], p[1], p[3]) if Yp.type.rank == 4 else (p[-1],)
+    odd = {end: _odd_extensions(g, Y, end) for end in ends}
     for end in ends:
-        attach = _odd_extension(g, inside, Y, end, True)
-        if attach is None or _odd_extension(g, inside, Y, end, False) is not None:
+        attach = odd[end] & ~inside
+        if not attach or odd[end] & inside:
             continue
         others = [o for o in ends if o != end]
-        if others and all(_odd_extension(g, inside, Y, o, False) is not None for o in others):
+        if others and all(odd[o] & inside for o in others):
             continue
-        return (end if others else None), attach
+        return (end if others else None), g.generators[(attach & -attach).bit_length() - 1]
     return None
 
 

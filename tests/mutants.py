@@ -52,15 +52,30 @@ MUTANTS = [
     (
         "odd-D candidates outside X and inside X swapped",
         "src/artinstab/stability.py",
-        "near = g.nbrs[i] & (~inside if outside else inside & ~Y)",
-        "near = g.nbrs[i] & (inside & ~Y if outside else ~inside)",
+        "attach = odd[end] & ~inside\n        if not attach or odd[end] & inside:",
+        "attach = odd[end] & inside\n        if not attach or odd[end] & ~inside:",
         "killed",
     ),
     (
         "D_4 rescue relaxed from all other ends to any one",
         "src/artinstab/stability.py",
-        "if others and all(_odd_extension(",
-        "if others and any(_odd_extension(",
+        "if others and all(odd[o] & inside",
+        "if others and any(odd[o] & inside",
+        "killed",
+    ),
+    (
+        "E's short arm attached at position 3 instead of 4",
+        "src/artinstab/classify.py",
+        '"E": (6, 8, "rank 6, 7 or 8", {(0, 3): 3}, 1),',
+        '"E": (6, 8, "rank 6, 7 or 8", {(0, 2): 3}, 1),',
+        "killed",
+    ),
+    (
+        "the constructor's check of the generators dropped",
+        "src/artinstab/graph.py",
+        "        if not (isinstance(gens, tuple) and gens and all(map(_valid_name, gens))\n"
+        "                and all(map(str.__lt__, gens, gens[1:]))):\n",
+        "        if False:\n",
         "killed",
     ),
     (

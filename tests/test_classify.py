@@ -8,6 +8,7 @@ import pytest
 from artinstab import (
     INFINITY,
     CoxeterGraph,
+    IrreducibleType,
     classify_group,
     components,
     is_spherical,
@@ -103,6 +104,54 @@ def test_e6_inside_e7():
     tc = recognize_component(e7, [f"s{i}" for i in range(1, 7)])
     assert str(tc.type) == "E6"
     assert tc.positions == ("s1", "s2", "s3", "s4", "s5", "s6")
+
+
+def test_every_standard_graph_is_recognized_as_its_type_on_s1_to_sn():
+    """The catalog table that builds the graphs and the recognizer share
+    no code; ranks reach 11 so that name order (s1, s10, s11, s2, ...)
+    differs from position order."""
+    cases = (
+        [("A", n, 0) for n in range(1, 12)]
+        + [("B", n, 0) for n in range(2, 12)]
+        + [("D", n, 0) for n in range(4, 12)]
+        + [("E", n, 0) for n in (6, 7, 8)]
+        + [("F", 4, 0), ("H", 3, 0), ("H", 4, 0)]
+        + [("I2", 0, m) for m in range(5, 12)]
+    )
+    for family, n, m in cases:
+        g = standard_graph(family, n, m)
+        tc = recognize_component(g, g.generators)
+        rank = 2 if family == "I2" else n
+        assert tc.type == IrreducibleType(family, rank, m), (family, n, m)
+        assert tc.positions == tuple(f"s{i}" for i in range(1, rank + 1)), (family, n, m)
+    # I2(3) and I2(4) are A2 and B2
+    assert recognize_component(standard_graph("I2", 0, 3), ("s1", "s2")).type == IrreducibleType("A", 2)
+    assert recognize_component(standard_graph("I2", 0, 4), ("s1", "s2")).type == IrreducibleType("B", 2)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("A", 0), "A needs rank >= 1"),
+        (("A", -1), "A needs rank >= 1"),
+        (("B", 1), "B needs rank >= 2"),
+        (("D", 3), "D needs rank >= 4"),
+        (("E", 5), "E needs rank 6, 7 or 8"),
+        (("E", 9), "E needs rank 6, 7 or 8"),
+        (("F", 3), "F needs rank 4"),
+        (("F", 5), "F needs rank 4"),
+        (("H", 2), "H needs rank 3 or 4"),
+        (("H", 5), "H needs rank 3 or 4"),
+        (("I2", 2, 2), "I2 needs an edge label m >= 3"),
+        (("I2",), "I2 needs an edge label m >= 3"),
+        (("X", 3), "unknown family 'X'"),
+        (("C", 3), "unknown family 'C'"),
+    ],
+)
+def test_a_type_outside_the_catalog_is_a_value_error_with_its_message(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        standard_graph(*args)
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -629,7 +678,7 @@ def _plain_components(vertices, joined):
 def _plain_types(g, X):
     """Type names of the components of X, or None when one is not spherical."""
     out = []
-    for comp in _plain_components(X, g.has_edge):
+    for comp in _plain_components(X, lambda s, t: g.label(s, t) >= 3):
         tc = recognize_component(g, comp)
         if tc is None:
             return None

@@ -4,10 +4,13 @@ import pytest
 
 from artinstab import (
     INFINITY,
+    CoxeterGraph,
     GraphError,
+    IrreducibleType,
     adjacent,
     components,
     parse_graph,
+    recognize_component,
     standard_graph,
     to_dot,
 )
@@ -49,7 +52,6 @@ def test_labels_store_only_non_commuting_pairs():
     )
     assert g.labels == {("a", "c"): INFINITY, ("b", "c"): 5}
     assert g.label("a", "b") == g.label("b", "a") == 2
-    assert not g.has_edge("a", "b")
     assert build_graph("abc", ("a", "b", 3), ("b", "c", 2)).labels == {("a", "b"): 3}
 
 
@@ -104,6 +106,36 @@ def test_parse_rejects_labels_outside_the_format(label):
 def test_parse_errors(text, fragment):
     with pytest.raises(GraphError, match=fragment):
         parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "generators, labels, fragment",
+    [
+        ((), {}, "distinct valid names in sorted order"),
+        (("b", "a", "c"), {("a", "b"): 3, ("b", "c"): 3}, "distinct valid names in sorted order"),
+        (("a", "a"), {}, "distinct valid names in sorted order"),
+        (("a", "b c"), {}, "distinct valid names in sorted order"),
+        (["a", "b"], {}, "distinct valid names in sorted order"),
+        (("a", "b"), {("a", "x"): 3}, r"label key \('a', 'x'\) is not a sorted pair"),
+        (("a", "b"), {("b", "a"): 3}, "is not a sorted pair of generators"),
+        (("a", "b"), {("a", "a"): 3}, "is not a sorted pair of generators"),
+        (("a", "b"), {("a", "b", "c"): 3}, "is not a sorted pair of generators"),
+        (("a", "b"), {"ab": 3}, "is not a sorted pair of generators"),
+        (("a", "b"), {("a", "b"): 2}, r"invalid label 2 for pair \('a', 'b'\)"),
+        (("a", "b"), {("a", "b"): 1}, "invalid label 1"),
+        (("a", "b"), {("a", "b"): 3.0}, "invalid label 3.0"),
+        (("a", "b"), {("a", "b"): True}, "invalid label True"),
+    ],
+)
+def test_the_constructor_rejects_what_breaks_the_documented_invariants(generators, labels, fragment):
+    with pytest.raises(GraphError, match=fragment):
+        CoxeterGraph(generators, labels)
+
+
+def test_the_constructor_takes_what_build_makes():
+    g = CoxeterGraph(("a", "b", "c"), {("a", "b"): 3, ("a", "c"): INFINITY, ("b", "c"): 7})
+    assert g == build_graph("cba", ("b", "a", 3), ("c", "a", INFINITY), ("c", "b", 7))
+    assert recognize_component(g, ("b", "c")).type == IrreducibleType("I2", 2, 7)
 
 
 def test_roundtrip_preserves_label_map():

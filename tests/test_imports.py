@@ -10,11 +10,16 @@ A public function, a callable in ``artinstab.__all__`` that is not a class,
 has a caller when a library module other than its own names it (as a name
 or an attribute), when the reference imports it, or when the benchmark
 under ``perfbench/`` names it, as ``lib.<name>`` or in ``tracer.TARGETS``.
-Classes, constants and type aliases are exempt.
+Classes, constants and type aliases are exempt.  A public method or
+property of a class in ``__all__`` (any name without a leading underscore)
+has a caller when a library module other than the class's own, the
+reference or a source anywhere under ``perfbench/`` names it as an
+attribute.
 """
 
 import ast
 import inspect
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -129,3 +134,57 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     perfbench = [p.read_text() for p in PERFBENCH]
     assert perfbench
     assert uncalled_outside_tests(functions, library, REFERENCE.read_text(), perfbench) == []
+
+
+def _attributes(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def unnamed_methods(
+    methods: dict[str, str], library: dict[str, str], elsewhere: list[str]
+) -> list[str]:
+    """The ``Class.name`` keys of ``methods`` (-> the class's own module)
+    whose name no module in ``library`` (module -> source) other than that
+    one, and no source in ``elsewhere``, uses as an attribute."""
+    named_in = {module: _attributes(source) for module, source in library.items()}
+    outside = set().union(*(_attributes(source) for source in elsewhere))
+    return sorted(
+        key
+        for key, own in methods.items()
+        if (name := key.rpartition(".")[2]) not in outside
+        and not any(name in names for module, names in named_in.items() if module != own)
+    )
+
+
+def test_the_scan_sees_a_test_only_method():
+    library = {
+        "graph": "class G:\n    def used(self): pass\n    def own(self): pass\n    def dead(self): pass\n"
+                 "def f(g):\n    return g.own()\n",
+        "cli": "def main(g):\n    return g.used()\n",
+    }
+    methods = dict.fromkeys(["G.used", "G.own", "G.dead", "G.bench"], "graph")
+    elsewhere = ["def check(lib, g):\n    return g.bench, dead()\n"]
+    assert unnamed_methods(methods, library, elsewhere) == ["G.dead", "G.own"]
+
+
+def public_methods(cls: type) -> list[str]:
+    kinds = (property, cached_property, staticmethod, classmethod)
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
+    ]
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    methods = {
+        f"{name}.{method}": obj.__module__.rpartition(".")[2]
+        for name in artinstab.__all__
+        if inspect.isclass(obj := getattr(artinstab, name))
+        for method in public_methods(obj)
+    }
+    assert {"CoxeterGraph.build", "CoxeterGraph.typed", "ConjugatorWord.factors"} <= set(methods)
+    library = {p.stem: p.read_text() for p in MODULES}
+    perfbench = sorted((PACKAGE.parent.parent / "perfbench").rglob("*.py"))
+    elsewhere = [REFERENCE.read_text()] + [p.read_text() for p in perfbench]
+    assert unnamed_methods(methods, library, elsewhere) == []

@@ -5,6 +5,9 @@ never computes.
   member of ``orbit(g, X)`` gets the verdict of X.
 * A label-preserving automorphism sigma of the graph is an automorphism of
   the group, so sigma(X) gets the verdict of X.
+* A union of two graphs joined by label 2 is a direct product and one
+  joined by infinity a free product; either way X is stable exactly when
+  its part in each factor is.
 
 The verdict is whether ``decide_stability`` finds a witness; the witnesses
 themselves may differ.
@@ -27,8 +30,8 @@ SHAPES = (
 )
 
 
-def random_graph(rng: random.Random) -> CoxeterGraph:
-    names = list("abcdef"[: rng.randint(3, 6)])
+def random_graph(rng: random.Random, most: int = 6) -> CoxeterGraph:
+    names = list("abcdef"[: rng.randint(3, most)])
     rels = [(s, t, rng.choice(LABELS)) for s, t in combinations(names, 2)]
     return CoxeterGraph.build(names, [(s, t, m) for s, t, m in rels if m != 2])
 
@@ -68,7 +71,7 @@ def test_every_member_of_an_orbit_gets_the_verdict_of_the_start():
         for X in verdict:
             if X in done:
                 continue
-            members = orbit(g, X).subsets()
+            members = [Y for Y, _ in orbit(g, X)]
             done.update(members)
             moved += len(members) > 1
             mixed = {Y: verdict[Y] for Y in members if verdict[Y] != verdict[X]}
@@ -90,3 +93,37 @@ def test_a_diagram_automorphism_keeps_the_verdict():
                 assert verdict[image] == stable, (shape, X, image)
                 checked += 1
     assert checked > 200, checked
+
+
+def joined(g: CoxeterGraph, h: CoxeterGraph, cross) -> CoxeterGraph:
+    """g on names prefixed p and h on names prefixed q, every label between
+    the two being cross (2 or infinity)."""
+    rels = [("p" + s, "p" + t, m) for (s, t), m in g.labels.items()]
+    rels += [("q" + s, "q" + t, m) for (s, t), m in h.labels.items()]
+    if cross == INFINITY:
+        rels += [("p" + s, "q" + t, INFINITY) for s in g.generators for t in h.generators]
+    return CoxeterGraph.build(["p" + v for v in g.generators] + ["q" + v for v in h.generators], rels)
+
+
+def test_a_direct_or_free_product_decides_factor_by_factor():
+    rng = random.Random(0x9D17)
+    pairs = [(standard_graph("A", 3), standard_graph("D", 5)),
+             (standard_graph("A", 4), standard_graph("A", 3)),
+             (standard_graph("B", 3), standard_graph("E", 6))]
+    # factors of at most 4 vertices keep every union at 8 or fewer
+    pairs += [(random_graph(rng, 4), random_graph(rng, 4)) for _ in range(12)]
+    checked = 0
+    kinds = set()
+    for g, h in pairs:
+        left, right = verdicts(g), verdicts(h)
+        left[()] = right[()] = True  # the trivial subgroup is stable
+        for cross in (2, INFINITY):
+            union = joined(g, h, cross)
+            for X, stable in verdicts(union).items():
+                p = tuple(v[1:] for v in X if v[0] == "p")
+                q = tuple(v[1:] for v in X if v[0] == "q")
+                assert stable == (left[p] and right[q]), (g, h, cross, X)
+                kinds.add((stable, p != () and q != ()))
+                checked += 1
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert checked > 4000, checked

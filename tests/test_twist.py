@@ -199,7 +199,7 @@ def test_a_twist_fixing_t_is_a_zero_move_that_swaps_parts(shape, X, t, swapped):
     assert (tbit, move, step_factor) == (g.mask([t]), 0, factor)
     assert elementary_twist(g, X, t) == (X, factor)
     assert _mask_twists(tw)(Y, None) == []  # t is the only neighbour of X
-    assert orbit(g, X).subsets() == (X,)
+    assert [Y for Y, _ in orbit(g, X)] == [X]
     assert tuple_twist(g, tuple(components(g, X)), t) == (swapped, factor)
     assert decide_stability(g, X) == Witness(
         "permutation", X, tuple=swapped, word=ConjugatorWord((factor,))
@@ -288,6 +288,6 @@ def test_a_word_built_by_extension_behaves_like_its_tuple():
     twin = Witness("permutation", ("s1",), tuple=(("s1",),), word=flat)
     assert witness == twin and hash(witness) == hash(twin)
     table = OrbitTable(((("s1",), ConjugatorWord()), (("s2",), built)))
-    assert table.word_for(("s2",)) == flat and ("s2",) in table
+    assert dict(table)[("s2",)] == flat
     assert table.to_json_list()[1]["word"] == flat.to_json_list()
     del built, a, b, witness, table  # freeing the chain must not recurse either
