@@ -4,12 +4,12 @@ Library layout:
 
 * :mod:`artinstab.graph` holds the Coxeter graph, the one graph
   representation: names and labels, the int masks every search runs on and
-  a memo of recognized components;
+  memos of recognized components, their twists and their twist steps;
 * :mod:`artinstab.classify` recognizes finite-type diagrams and classifies
   the whole group into hypothesis families;
 * :mod:`artinstab.twist` implements twists, the set-level conjugations by
-  Garside elements, with the one per-call table of twist steps on masks
-  that every search runs on;
+  Garside elements, with the one table of twist steps on masks that every
+  search runs on, kept with the graph;
 * :mod:`artinstab.orbit` decides conjugacy of standard parabolic subgroups
   with the breadth-first engine that the stability closures share;
 * :mod:`artinstab.stability` decides conjugacy stability;

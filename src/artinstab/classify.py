@@ -25,7 +25,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)  # slots: kept per component in a graph's memo
 class IrreducibleType:
     """A catalog entry: family letter plus rank (and the edge label for I2)."""
 
@@ -39,7 +39,7 @@ class IrreducibleType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: kept per component in a graph's memo
 class TypedComponent:
     """A recognized component with its canonical position labeling.
 
@@ -394,9 +394,15 @@ def _diagram(family: str, n: int, m: int = 0) -> dict[tuple[int, int], int]:
 
 
 def standard_graph(family: str, n: int = 0, m: int = 0) -> CoxeterGraph:
-    """Build the catalog diagram of the given type on generators s1..sn
-    (s1, s2 for I2(m), whatever n is)."""
+    """Build the catalog diagram of the given type on generators s1..sn,
+    or on s1, s2 for I2(m).  Only I2 takes m, and its n is 2 or left out
+    (0); any other n or m is a ValueError, as is a type outside the
+    catalog."""
     edges = _diagram(family, n, m)
+    if family == "I2" and n not in (0, 2):
+        raise ValueError(f"I2 has rank 2, got n = {n}")
+    if family != "I2" and m:
+        raise ValueError(f"{family} takes no edge label m, got m = {m}")
     n = 2 if family == "I2" else n
     return CoxeterGraph.build(
         [f"s{i}" for i in range(1, n + 1)],

@@ -7,23 +7,29 @@ pairs with m != 2 are stored; a missing pair commutes.  Two vertices are
 adjacent when m >= 3 (infinity included); this is the adjacency used by
 every algorithm in this package.
 
-A graph is immutable after construction.  Besides its names and labels it
-keeps, built with it, int masks of its subsets (bit i standing for
-``generators[i]``): for each vertex, the masks of its neighbours, its
-label-3 edges and its infinite edges.  The searches and the recognizer run
-on those masks, and ``typed`` keeps a memo of recognized components.
-Memo entries are pure functions of the graph, so threads that fill one
-concurrently store equal values, and a graph is safe to share between them.
+A graph is immutable after construction; its labels are a read-only
+mapping.  Besides its names and labels it keeps, built with it, int masks
+of its subsets (bit i standing for ``generators[i]``): for each vertex, the
+masks of its neighbours, its label-3 edges and its infinite edges.  The
+searches and the recognizer run on those masks.  It also keeps three memos,
+filled by the queries that meet their entries: the recognized components
+(``types``, read through ``typed``), and the twist of each component and
+its twist steps at its border (``twists`` and ``borders``, read and filled
+by ``twist.MaskTwists``).  Memo entries are pure functions of the graph, so
+threads that fill one concurrently store equal values, and a graph is safe
+to share between them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .classify import TypedComponent
+    from .twist import Images, MaskStep, TwistFactor
 
 INFINITY: float = float("inf")
 
@@ -60,14 +66,15 @@ class CoxeterGraph:
     derives from it.  ``labels`` maps each sorted pair with m != 2 to m;
     ``label`` reads a missing pair as 2.  The constructor raises GraphError
     when either field breaks these rules; ``build`` sorts and filters free
-    input into them.  Only these two fields take part in
-    equality, ``repr``, pickling and copying; the masks and the memo of
-    recognized components (``types``) are built from them, so a clone starts
-    with an empty memo.
+    input into them.  ``labels`` is kept as a read-only copy, so that
+    the masks and memos built from it cannot go stale.  Only these two
+    fields take part in equality, ``repr``, pickling and copying, with the
+    labels as a plain dict; the masks and the memos (``types``, ``twists``,
+    ``borders``) are built from them, so a clone starts with empty memos.
     """
 
     generators: VertexSet
-    labels: dict[tuple[str, str], Label]
+    labels: Mapping[tuple[str, str], Label]
 
     def __post_init__(self):
         gens = self.generators
@@ -90,12 +97,19 @@ class CoxeterGraph:
                 kind = three if m == 3 else inf
                 kind[i] |= 1 << j
                 kind[j] |= 1 << i
+        bits = tuple(1 << i for i in range(n))  # one int per bit, shared by memo entries
         types: dict[int, TypedComponent | None] = {}
+        # component mask -> its twist (see ``twist.MaskTwists._twist``)
+        twists: dict[int, tuple[Images, TwistFactor] | None] = {}
+        # component mask -> its border and its steps there (``MaskTwists._alone``)
+        borders: dict[int, tuple[int, list[MaskStep]]] = {}
         # set as the fields are, through __setattr__ (the dataclass is
         # frozen): filling vars(self) instead slows every later attribute load
         put = object.__setattr__
-        for name, value in (("index", index), ("nbrs", nbrs), ("three", three),
-                            ("inf", inf), ("types", types)):
+        for name, value in (("labels", MappingProxyType(dict(self.labels))),
+                            ("index", index), ("bits", bits), ("nbrs", nbrs), ("three", three),
+                            ("inf", inf), ("types", types), ("twists", twists),
+                            ("borders", borders)):
             put(self, name, value)
 
     @staticmethod
@@ -139,8 +153,11 @@ class CoxeterGraph:
                     labels.setdefault((s, t), INFINITY)
         return CoxeterGraph(order, {key: m for key, m in labels.items() if m != 2})
 
-    def __reduce__(self):  # pickle and copy the fields, not the memo
-        return CoxeterGraph, (self.generators, self.labels)
+    def __reduce__(self):  # pickle and copy the fields, not the memos
+        return CoxeterGraph, (self.generators, dict(self.labels))
+
+    def __repr__(self) -> str:
+        return f"CoxeterGraph(generators={self.generators!r}, labels={dict(self.labels)!r})"
 
     def label(self, s: str, t: str) -> Label:
         return self.labels.get(_pair(s, t), 2)

@@ -5,8 +5,9 @@ twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the graph's
 generator order and convert to name tuples only for their results; their
-twist steps come from the per-call tables of ``twist.MaskTwists``, and a
-successor is the subset XOR a step's move.  The same search engine, ``bfs_closure``,
+twist steps come from ``twist.MaskTwists``, which keeps them with the graph
+once computed, and a successor is the subset XOR a step's move.  The same
+search engine, ``bfs_closure``,
 also runs the component-tuple closures of the stability decision.  The
 search keeps parent pointers; words are built only for reported states,
 each from its parent's word by one O(1) extension.
@@ -29,13 +30,17 @@ class OrbitTable:
     The first entry is always the start subset with the empty word, and
     applying any entry's word to the start subset yields the entry's key.
     Iterating yields the (subset, word) entries, so ``dict(table)`` maps
-    each subset to its word.
+    each subset to its word; ``Y in table`` asks whether the subset Y is a
+    key, as ``Y in dict(table)`` does.
     """
 
     entries: tuple[tuple[VertexSet, ConjugatorWord], ...]
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __contains__(self, subset: object) -> bool:
+        return any(subset == key for key, _ in self.entries)
 
     def __iter__(self) -> Iterator[tuple[VertexSet, ConjugatorWord]]:
         return iter(self.entries)

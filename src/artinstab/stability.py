@@ -302,9 +302,10 @@ def decide_stability(
     the witness of the first obstruction found, or None when there is none
     and the subgroup is stable.  All three scans run on subset masks of
     g, which recognizes each component once per graph.  The
-    closures run on component tuples of part masks, with the border steps
-    of each component and the twist steps of each union listed once per
-    call (``MaskTwists``, ``Moves``) and dropped on return.  For a subset
+    closures run on component tuples of part masks.  The border steps of
+    each component are computed once per graph and kept with it
+    (``MaskTwists``); the twist steps of each union are listed once per
+    call (``Moves``, which depends on X) and dropped on return.  For a subset
     X1, the internal closure I is built first.  A twist inside X keeps a
     tuple in I, so the external closure is I plus what grows from the
     images of I under twists outside X; that growth stops at its first

@@ -4,8 +4,8 @@ Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
 each twistable component (and fixes everything else).  ``MaskTwists`` is
 the one place that computes an elementary twist: on subsets written as int
-masks of the graph, with each component recognized once per graph
-(``CoxeterGraph.typed``) and twisted once per call.  The twist at t adds t
+masks of the graph, with each component recognized, twisted and given its
+border steps once per graph, in the graph's memos.  The twist at t adds t
 and removes its image, so each step carries that pair of bits as its
 move, and the twisted subset is the subset XOR the move.  Every search
 runs on it, and ``elementary_twist`` is a thin wrapper over it on name
@@ -38,7 +38,7 @@ class DeltaActionUndefined(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: graphs keep one per twistable component
 class TwistFactor:
     """A signed Garside factor delta(subset)^sign; the subset is spherical."""
 
@@ -126,7 +126,8 @@ def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> 
         if g.typed(comp) is None:
             raise ValueError(f"subset is not of spherical type: {list(g.names(comp))}")
         twist = tw._twist(comp)
-        out |= Xm & comp if twist is None else twist[0][Xm & comp]
+        # not kept: the masks of replayed words would only grow the memo
+        out |= Xm & comp if twist is None else twist[0].image(Xm & comp)
     for i in _bits(Xm & ~Vm):
         if g.nbrs[i] & Vm:
             raise DeltaActionUndefined(g.generators[i], g.names(Vm))
@@ -134,21 +135,23 @@ def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> 
 
 
 class Images(dict):
-    """Images of masks under the involution a component's twist induces,
-    filled on first lookup; ``perm`` maps each single-bit mask of the
-    component to the bit of its image.  A mask disjoint from the component
-    is its own image."""
+    """Images of masks under the involution a component's twist induces:
+    built with the bit of the image of each bit of the component, and
+    filled with other masks on first lookup.  A mask disjoint from the
+    component is its own image."""
 
-    def __init__(self, perm: dict[int, int]):
-        super().__init__()
-        self.perm = perm
+    __slots__ = ()  # no instance dict: one is kept per twistable component
 
     def __missing__(self, mask: int) -> int:
+        self[mask] = out = self.image(mask)
+        return out
+
+    def image(self, mask: int) -> int:
+        """The image of mask, computed without being kept."""
         out = 0
         for i in _bits(mask):
             bit = 1 << i
-            out |= self.perm.get(bit, bit)
-        self[mask] = out
+            out |= self.get(bit, bit)
         return out
 
 
@@ -160,40 +163,41 @@ MaskStep = tuple[int, int, Images, TwistFactor]
 
 
 class MaskTwists:
-    """Twists of subsets written as int masks, for one call: the twist of
-    each component, and the twist steps at the border of each component of
-    the subsets a search reaches.  Built per call and dropped with it; the
-    masks and the recognized components come from the graph g, which keeps
-    them."""
+    """Twists of subsets written as int masks: the twist of each component,
+    and the twist steps at the border of each component of the subsets a
+    search reaches.  Both are kept in the memos of the graph g
+    (``g.twists``, ``g.borders``), next to its masks and recognized
+    components, so each is computed once per graph; this object only
+    reads and fills them."""
 
     def __init__(self, g: CoxeterGraph):
         self.g = g
-        self.twists: dict[int, tuple[Images, TwistFactor] | None] = {}
-        # component mask -> its border and its steps there (see ``_alone``)
-        self.borders: dict[int, tuple[int, list[MaskStep]]] = {}
+        self.twists = g.twists
+        self.borders = g.borders
 
     def _twist(self, comp: int) -> tuple[Images, TwistFactor] | None:
-        """The twist of a component mask, kept for the call: the involution
+        """The twist of a component mask, kept with the graph: the involution
         that conjugation by its Garside element induces on its bits, and
         that factor; None unless the component is twistable (a component of
         infinite type is not)."""
+        twists = self.twists
+        if comp in twists:
+            return twists[comp]
         g = self.g
         tc = g.typed(comp)
         images = None if tc is None else _delta_images(tc.type)
         twist = None
         if images is not None:
-            bits = [1 << g.index[v] for v in tc.positions]
-            perm = dict(zip(bits, map(bits.__getitem__, images)))
-            twist = Images(perm), TwistFactor(g.names(comp), 1)  # = tc.vertices
-        self.twists[comp] = twist
+            bits = [g.bits[g.index[v]] for v in tc.positions]
+            twist = Images(zip(bits, map(bits.__getitem__, images))), TwistFactor(g.names(comp), 1)
+        twists[comp] = twist
         return twist
 
     def _step(self, tbit: int, comp: int) -> MaskStep | None:
         """The step at t whose component of Y + t is comp, None when comp is
         not twistable."""
-        twists = self.twists
-        twist = twists[comp] if comp in twists else self._twist(comp)
-        return None if twist is None else (tbit, tbit ^ twist[0].perm[tbit], *twist)
+        twist = self._twist(comp)
+        return None if twist is None else (tbit, tbit ^ twist[0][tbit], *twist)
 
     def step_at(self, Y: int, t: str) -> MaskStep | None:
         """The step of the subset mask Y at the generator t, None when the
@@ -209,17 +213,15 @@ class MaskTwists:
     def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
         """(the border of the component mask C, the steps at each border bit
         t when t is adjacent to C alone, so that C + t is the component of
-        t), kept for the call in ``borders``."""
-        nbrs = self.g.nbrs
+        t), kept with the graph in ``borders``."""
+        g = self.g
         border = 0
         for i in _bits(C):
-            border |= nbrs[i]
+            border |= g.nbrs[i]
         border &= ~C
         steps = []
-        near = border
-        while near:
-            tbit = near & -near
-            near ^= tbit
+        for i in _bits(border):
+            tbit = g.bits[i]
             step = self._step(tbit, C | tbit)
             if step is not None:
                 steps.append(step)

@@ -93,11 +93,32 @@ MUTANTS = [
         "killed",
     ),
     (
-        "the memo of recognized components pickled and copied with the graph",
+        "the memos pickled and copied with the graph",
         "src/artinstab/graph.py",
-        "    def __reduce__(self):  # pickle and copy the fields, not the memo\n"
-        "        return CoxeterGraph, (self.generators, self.labels)\n",
+        "    def __reduce__(self):  # pickle and copy the fields, not the memos\n"
+        "        return CoxeterGraph, (self.generators, dict(self.labels))\n",
         "",
+        "killed",
+    ),
+    (
+        "labels kept as given, mutable",
+        "src/artinstab/graph.py",
+        '("labels", MappingProxyType(dict(self.labels)))',
+        '("labels", self.labels)',
+        "killed",
+    ),
+    (
+        "a border list stored under the component plus its border",
+        "src/artinstab/twist.py",
+        "self.borders[C] = found = border, steps",
+        "self.borders[C | border] = found = border, steps",
+        "killed",
+    ),
+    (
+        "an image lookup maps a bit outside the component to 0",
+        "src/artinstab/twist.py",
+        "out |= self.get(bit, bit)",
+        "out |= self.get(bit, 0)",
         "killed",
     ),
     (

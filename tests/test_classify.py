@@ -146,6 +146,11 @@ def test_every_standard_graph_is_recognized_as_its_type_on_s1_to_sn():
         (("I2",), "I2 needs an edge label m >= 3"),
         (("X", 3), "unknown family 'X'"),
         (("C", 3), "unknown family 'C'"),
+        # an m for a family other than I2, or a rank other than 2 for I2
+        (("A", 3, 9), "A takes no edge label m, got m = 9"),
+        (("E", 6, 3), "E takes no edge label m, got m = 3"),
+        (("I2", 5, 7), "I2 has rank 2, got n = 5"),
+        (("I2", 1, 5), "I2 has rank 2, got n = 1"),
     ],
 )
 def test_a_type_outside_the_catalog_is_a_value_error_with_its_message(args, message):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -136,6 +138,36 @@ def test_the_constructor_takes_what_build_makes():
     g = CoxeterGraph(("a", "b", "c"), {("a", "b"): 3, ("a", "c"): INFINITY, ("b", "c"): 7})
     assert g == build_graph("cba", ("b", "a", 3), ("c", "a", INFINITY), ("c", "b", 7))
     assert recognize_component(g, ("b", "c")).type == IrreducibleType("I2", 2, 7)
+
+
+def test_labels_are_read_only_and_the_graph_keeps_its_own_copy():
+    given = {("s1", "s2"): 3, ("s2", "s3"): 3}
+    g = CoxeterGraph(("s1", "s2", "s3"), given)
+    given[("s1", "s3")] = 3  # the caller's dict is not the graph's
+    with pytest.raises(TypeError):
+        g.labels[("s1", "s3")] = 3
+    with pytest.raises(TypeError):
+        del g.labels[("s1", "s2")]
+    assert g.label("s1", "s3") == 2 and components(g, ["s1", "s3"]) == [("s1",), ("s3",)]
+    assert dict(g.labels) == {("s1", "s2"): 3, ("s2", "s3"): 3}
+
+
+def test_equality_repr_and_pickle_bytes_are_those_of_a_plain_label_dict():
+    g = standard_graph("A", 3)
+    assert g == CoxeterGraph(("s1", "s2", "s3"), {("s1", "s2"): 3, ("s2", "s3"): 3})
+    assert g != CoxeterGraph(("s1", "s2", "s3"), {("s1", "s2"): 3, ("s2", "s3"): 4})
+    assert repr(g) == "CoxeterGraph(generators=('s1', 's2', 's3'), labels={('s1', 's2'): 3, ('s2', 's3'): 3})"
+    # the bytes of the graph before its labels became read-only
+    assert pickle.dumps(g, 4) == (
+        b"\x80\x04\x95Y\x00\x00\x00\x00\x00\x00\x00\x8c\x0fartinstab.graph\x94"
+        b"\x8c\x0cCoxeterGraph\x94\x93\x94\x8c\x02s1\x94\x8c\x02s2\x94\x8c\x02s3\x94"
+        b"\x87\x94}\x94(\x8c\x02s1\x94\x8c\x02s2\x94\x86\x94K\x03\x8c\x02s2\x94"
+        b"\x8c\x02s3\x94\x86\x94K\x03u\x86\x94R\x94."
+    )
+    for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert clone == g and repr(clone) == repr(g)
+        with pytest.raises(TypeError):
+            clone.labels[("s1", "s3")] = 3
 
 
 def test_roundtrip_preserves_label_map():

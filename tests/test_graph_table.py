@@ -1,8 +1,11 @@
-"""What a graph keeps between calls: ``CoxeterGraph.types``, the memo of
-recognized components, filled by queries and kept with the graph object.
-A graph that has already served other queries, in another order, must
-answer every query as a fresh graph does, and still compare, print, pickle
-and copy as a fresh graph; a clone starts with an empty memo."""
+"""What a graph keeps between calls: its memos, filled by queries and kept
+with the graph object.  ``CoxeterGraph.types`` holds the recognized
+components, ``twists`` the twist of each component and ``borders`` the
+twist steps at each component's border.  A graph that has already served
+other queries, in another order, must answer every query as a fresh graph
+does, hold memo entries equal to those a fresh graph computes, and still
+compare, print, pickle and copy as a fresh graph; a clone starts with
+empty memos."""
 
 import copy
 import pickle
@@ -21,6 +24,7 @@ from artinstab import (
     recognize_component,
     standard_graph,
 )
+from artinstab.twist import MaskTwists
 
 from conftest import build_graph, random_graph, random_subset
 
@@ -34,6 +38,29 @@ def affine_a(n: int) -> CoxeterGraph:
 def rebuilt(g: CoxeterGraph) -> CoxeterGraph:
     """A new graph object equal to g, which has answered nothing yet."""
     return CoxeterGraph.build(g.generators, [(s, t, m) for (s, t), m in g.labels.items()])
+
+
+def same_images(warm, fresh) -> bool:
+    """Whether two images maps of one twist agree on every mask the warm
+    one has looked up; the fresh one computes them on lookup."""
+    return all(fresh[mask] == image for mask, image in warm.items())
+
+
+def assert_steps_as_fresh(g: CoxeterGraph) -> None:
+    """Each entry of g's ``twists`` and ``borders`` equals the one a fresh
+    ``MaskTwists`` computes on a rebuilt graph."""
+    tw = MaskTwists(rebuilt(g))
+    for comp, twist in g.twists.items():
+        fresh = tw._twist(comp)
+        assert (twist is None) == (fresh is None), (g, g.names(comp))
+        if twist is not None:
+            assert twist[1] == fresh[1] and same_images(twist[0], fresh[0]), (g, g.names(comp))
+    for comp, (border, steps) in g.borders.items():
+        fresh_border, fresh_steps = tw._alone(comp)
+        assert border == fresh_border and len(steps) == len(fresh_steps), (g, g.names(comp))
+        for (t, move, images, factor), fresh in zip(steps, fresh_steps):
+            assert (t, move, factor) == (fresh[0], fresh[1], fresh[3]), (g, g.names(comp))
+            assert same_images(images, fresh[2]), (g, g.names(comp))
 
 
 def graphs() -> list[CoxeterGraph]:
@@ -80,8 +107,10 @@ def test_a_warm_graph_answers_as_a_fresh_one():
                 assert call(warm) == fresh[name], (g, name)
                 compared += 1
         assert warm == g and repr(warm) == repr(g)
+        assert_steps_as_fresh(warm)
         for clone in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
-            assert clone.types == {}  # the memo is not carried along
+            # the memos are not carried along
+            assert clone.types == clone.twists == clone.borders == {}
             assert clone == warm and repr(clone) == repr(warm)
             for name, call in calls:
                 assert call(clone) == fresh[name], (g, name)
@@ -119,18 +148,26 @@ def test_threads_sharing_a_fresh_graph_answer_as_one_thread_does():
         assert errors == [] and len(results) == 6 * len(calls)
         for name, got in results:
             assert got == expected[name], (g, name)
+        # orbit and conjugator filled the shared step memo, as one thread would
+        assert shared.twists and shared.borders
+        assert_steps_as_fresh(shared)
 
 
 def test_queries_fill_the_memo_and_the_graph_keeps_it():
     g = standard_graph("D", 8)
-    memo = g.types
-    assert memo == {}
+    memo, twists, borders = g.types, g.twists, g.borders
+    assert memo == twists == borders == {}
     classify_group(g)
     after_classify = dict(memo)
-    assert after_classify
+    assert after_classify and twists == borders == {}
     orbit(g, ("s1", "s3"))
+    after_orbit = dict(twists), dict(borders)
+    assert all(after_orbit)
     decide_stability(g, ("s1", "s2", "s3", "s5"))
     assert g.types is memo and after_classify.items() < memo.items()
+    assert g.twists is twists and g.borders is borders
+    assert after_orbit[0].keys() < twists.keys() and after_orbit[1].keys() < borders.keys()
+    assert_steps_as_fresh(g)
     fresh = rebuilt(g)
     for comp, typed in memo.items():  # each entry is what a fresh graph recognizes
         assert typed == recognize_component(fresh, g.names(comp)), g.names(comp)
@@ -140,9 +177,12 @@ def test_a_pickled_or_copied_graph_starts_with_an_empty_memo():
     g = standard_graph("E", 8)
     classify_group(g)
     decide_stability(g, ("s1", "s3", "s4", "s5"))
-    assert g.types
+    orbit(g, ("s1", "s3"))
+    assert g.types and g.twists and g.borders
     for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
         assert clone.types == {} and clone.types is not g.types
+        assert clone.twists == {} and clone.twists is not g.twists
+        assert clone.borders == {} and clone.borders is not g.borders
         assert clone == g and repr(clone) == repr(g)
         masks = (clone.index, clone.nbrs, clone.three, clone.inf)
         assert masks == (g.index, g.nbrs, g.three, g.inf)
@@ -156,7 +196,7 @@ def test_replaying_a_word_a_second_time_adds_no_memo_entry():
     assert len(word) == 105
     g = standard_graph("A", 40)
     assert apply_word(g, X, word) == Y
-    first = dict(g.types)
-    assert first
-    assert apply_word(g, X, word) == Y  # the same graph: its memo is kept
-    assert g.types == first
+    first = dict(g.types), dict(g.twists)
+    assert all(first)
+    assert apply_word(g, X, word) == Y  # the same graph: its memos are kept
+    assert (g.types, g.twists) == first

@@ -58,6 +58,28 @@ def test_orbit_e7_contains_paper_target():
     e7 = standard_graph("E", 7)
     table = orbit(e7, ("s1", "s2", "s3", "s4", "s6"))
     assert ("s2", "s4", "s5", "s6", "s7") in dict(table)
+    assert ("s2", "s4", "s5", "s6", "s7") in table
+
+
+def test_membership_in_an_orbit_table_is_membership_of_its_subsets():
+    assert ("s1",) in orbit(standard_graph("A", 3), ["s1"])
+    rng = random.Random(0x1C0)
+    asked = members = 0
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=7)
+        X = random_subset(rng, g)
+        table = orbit(g, X)
+        keys = dict(table)
+        Y, word = table.entries[-1]
+        probes = [random_subset(rng, g) for _ in range(10)] + [Y, (Y, word), list(Y), ()]
+        for probe in probes:
+            if isinstance(probe, list):  # unhashable: no key, where dict raises
+                assert probe not in table
+                continue
+            assert (probe in table) == (probe in keys), (g, X, probe)
+            asked += 1
+            members += probe in table
+    assert asked > 400 and members > 60, (asked, members)
 
 
 def test_conjugator_e7_worked_example():

@@ -1,4 +1,4 @@
-"""The stability decision's per-call twist tables, checked two ways.
+"""The stability decision's twist tables, checked two ways.
 
 * A golden file holds the verdict and full witness JSON for every non-empty
   subset of A2-A7, B2-B4, D4-D7, E6, E7, F4 and I2(5..7); the sweep must
@@ -166,9 +166,10 @@ def test_steps_from_components_equal_one_flood_per_neighbour():
     shared = 0  # steps at a vertex adjacent to two or more components of Y
     for _ in range(30):
         g = random_graph(rng, max_vertices=10, min_vertices=7)
-        tw = MaskTwists(g)  # one set of tables for every subset
+        tw = MaskTwists(g)  # the fresh graph's tables, for every subset
         for Y in range(1 << len(g.generators)):
-            got = [(t, move, images.perm, factor) for t, move, images, factor in tw.steps(Y)]
+            # only steps fill these tables, so each images holds its permutation alone
+            got = [(t, move, dict(images), factor) for t, move, images, factor in tw.steps(Y)]
             assert got == flood_steps(g, Y), (g, g.names(Y))
             for _, _, perm, _ in got:
                 shared += sum(1 for c in g.components(Y) if c & sum(perm)) >= 2
