@@ -17,7 +17,8 @@ filled by the queries that meet their entries: the recognized components
 its twist steps at its border (``twists`` and ``borders``, read and filled
 by ``twist.MaskTwists``).  Memo entries are pure functions of the graph, so
 threads that fill one concurrently store equal values, and a graph is safe
-to share between them.
+to share between them; a twist or border entry is stored once, and every
+thread reads the object stored first.
 """
 
 from __future__ import annotations
@@ -165,9 +166,8 @@ class CoxeterGraph:
     def subset(self, names: Iterable[str]) -> VertexSet:
         """Normalize to a canonical sorted vertex tuple, validating membership."""
         out = sorted(set(names))
-        known = set(self.generators)
         for name in out:
-            if name not in known:
+            if name not in self.index:
                 raise GraphError(f"unknown generator {name!r}")
         return tuple(out)
 

@@ -19,6 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
+from .classify import IrreducibleType
 from .graph import CoxeterGraph, VertexSet
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
@@ -136,9 +137,9 @@ def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     return OrbitTable(tuple((g.names(Y), word) for Y, word in found.items()))
 
 
-def _twist_key(g: CoxeterGraph, X: int) -> Counter:
-    """The multiset of the component types of mask X, a non-spherical
-    component entering as its own mask; subsets of one twist orbit share it.
+def _part_key(g: CoxeterGraph, c: int) -> IrreducibleType | int:
+    """The type of the component mask c, or c itself when it is not
+    spherical: every twist carries c onto a component with the same key.
 
     A twist conjugates the component C of Y + t by its Garside element,
     which acts on C as a diagram automorphism, and the other components of
@@ -147,11 +148,14 @@ def _twist_key(g: CoxeterGraph, X: int) -> Counter:
     same component types (for spherical type, L. Paris, J. Algebra 196,
     1997).  A non-spherical component lies in no twistable C: it never
     moves."""
-    key: Counter = Counter()
-    for c in g.components(X):
-        typed = g.typed(c)
-        key[c if typed is None else (c.bit_count(), str(typed.type))] += 1
-    return key
+    typed = g.typed(c)
+    return c if typed is None else typed.type
+
+
+def _twist_key(g: CoxeterGraph, X: int) -> Counter:
+    """The multiset of the ``_part_key`` of each component of mask X;
+    subsets of one twist orbit share it."""
+    return Counter(_part_key(g, c) for c in g.components(X))
 
 
 def conjugator(

@@ -31,7 +31,7 @@ from .classify import (
     is_spherical,
 )
 from .graph import CoxeterGraph, VertexSet, _bits, components
-from .orbit import Parents, bfs_closure, word_to, words
+from .orbit import Parents, _part_key, bfs_closure, word_to, words
 from .twist import ConjugatorWord, MaskTwists, TwistFactor
 
 ComponentTuple = tuple[VertexSet, ...]
@@ -190,6 +190,53 @@ def _beyond(
     return bfs_closure(starts, successors, stop)
 
 
+# For each connected subset of X, as a mask: the connected subsets of X
+# with its ``orbit._part_key``, each as (its mask, the mask of it and its
+# neighbours); subsets with one key share one list.
+PartTable = dict[int, list[tuple[int, int]]]
+
+
+def _part_table(g: CoxeterGraph, inside: int) -> PartTable:
+    """The ``PartTable`` of the mask inside, its connected subsets grown
+    one neighbour at a time from its bits."""
+    table: PartTable = {}
+    by_key: dict[IrreducibleType | int, list[tuple[int, int]]] = {}
+    layer = {1 << i: 1 << i | g.nbrs[i] for i in _bits(inside)}
+    while layer:
+        grown: dict[int, int] = {}
+        for T, near in layer.items():
+            table[T] = parts = by_key.setdefault(_part_key(g, T), [])
+            parts.append((T, near))
+            for i in _bits(near & inside & ~T):
+                grown[T | 1 << i] = near | g.nbrs[i]
+        layer = grown
+    return table
+
+
+def _candidates(table: PartTable, start: MaskTuple) -> Iterator[MaskTuple]:
+    """The tuples of connected subsets of X whose part i has the key of
+    start[i] and whose parts are pairwise disjoint and not adjacent: every
+    tuple inside X that twists can reach from start is one.  Depth first,
+    from a stack of the options left for each part, so that the first
+    tuple comes after len(start) choices and none is built ahead of use."""
+    options = [table[P] for P in start]
+    last = len(options) - 1
+    # (the parts chosen, them and their neighbours, the options of the next)
+    stack = [((), 0, iter(options[0]))]
+    while stack:
+        head, near, parts = stack[-1]
+        for P, P_near in parts:
+            if P & near:
+                continue
+            if len(head) == last:
+                yield (*head, P)
+            else:
+                stack.append(((*head, P), near | P_near, iter(options[len(head) + 1])))
+                break
+        else:
+            stack.pop()
+
+
 def tuple_orbit(
     g: CoxeterGraph,
     X1: Iterable[str],
@@ -309,9 +356,19 @@ def decide_stability(
     X1, the internal closure I is built first.  A twist inside X keeps a
     tuple in I, so the external closure is I plus what grows from the
     images of I under twists outside X; that growth stops at its first
-    tuple inside X, and X1 fails exactly when there is one.  Only then is
-    the plain external closure built, up to its first tuple inside X and
-    not in I: the witness, with the tuple and word a full build gives.  A
+    tuple inside X, and X1 fails exactly when there is one.  That growth is
+    built only when X holds a candidate outside I: a tuple of connected
+    subsets of X, pairwise disjoint and not adjacent, whose part i has the
+    key of the i-th component of X1 (``orbit._part_key``: its type, or
+    the component itself when it is not spherical).  A twist acts on the
+    component it conjugates as a diagram automorphism and leaves the
+    parts outside it in place, so every tuple that twists reach from X1
+    and that lies inside X is a candidate, and I holds only candidates;
+    when no candidate lies outside I, X1 passes.  The candidates are built
+    from the connected subsets of X, each listed once per call with those
+    of its key (``_part_table``).  Only when X1 fails is the plain
+    external closure built, up to its first tuple inside X and not in I:
+    the witness, with the tuple and word a full build gives.  A
     max_subset_size below 1 is a ValueError.
     """
     if max_subset_size < 1:
@@ -341,9 +398,12 @@ def decide_stability(
         return not sum(T) & outside
 
     moves = Moves(MaskTwists(g), inside)
+    table = _part_table(g, inside)
     for X1 in _subsets_descending(bits):
         start = g.components(X1)
         internal = _closure(moves, start, INSIDE)
+        if all(map(internal.__contains__, _candidates(table, start))):
+            continue  # no tuple inside X that twists can reach lies outside I
         beyond = _beyond(moves, internal, within)
         if not (beyond and within(next(reversed(beyond)))):
             continue

@@ -190,8 +190,7 @@ class MaskTwists:
         if images is not None:
             bits = [g.bits[g.index[v]] for v in tc.positions]
             twist = Images(zip(bits, map(bits.__getitem__, images))), TwistFactor(g.names(comp), 1)
-        twists[comp] = twist
-        return twist
+        return twists.setdefault(comp, twist)  # one object, whichever thread stores first
 
     def _step(self, tbit: int, comp: int) -> MaskStep | None:
         """The step at t whose component of Y + t is comp, None when comp is
@@ -225,8 +224,7 @@ class MaskTwists:
             step = self._step(tbit, C | tbit)
             if step is not None:
                 steps.append(step)
-        self.borders[C] = found = border, steps
-        return found
+        return self.borders.setdefault(C, (border, steps))
 
     def steps(self, Y: int) -> list[MaskStep]:
         """The steps of Y at each t adjacent to Y whose component C of Y + t

@@ -14,6 +14,15 @@ from artinstab import (
 
 LABEL_CHOICES = (2, 3, 4, 5, INFINITY)
 
+# catalog shapes of up to 6 vertices, as ``standard_graph`` arguments: every
+# family, odd and even D, and an odd and an even dihedral label
+SHAPES = (
+    [("A", n) for n in range(2, 7)]
+    + [("B", n) for n in range(2, 6)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("F", 4), ("H", 3), ("I2", 0, 6), ("I2", 0, 7)]
+)
+
 # weighted toward commuting pairs and simply laced edges so that random
 # graphs frequently contain twistable components and nontrivial orbits
 LABEL_WEIGHTS = (2, 2, 2, 3, 3, 3, 3, 4, 5, INFINITY)

@@ -81,8 +81,8 @@ MUTANTS = [
     (
         "type key taken by mask",
         "src/artinstab/orbit.py",
-        "key[c if typed is None else (c.bit_count(), str(typed.type))] += 1",
-        "key[c] += 1",
+        "return c if typed is None else typed.type",
+        "return c",
         "killed",
     ),
     (
@@ -110,8 +110,8 @@ MUTANTS = [
     (
         "a border list stored under the component plus its border",
         "src/artinstab/twist.py",
-        "self.borders[C] = found = border, steps",
-        "self.borders[C | border] = found = border, steps",
+        "return self.borders.setdefault(C, (border, steps))",
+        "return self.borders.setdefault(C | border, (border, steps))",
         "killed",
     ),
     (
@@ -120,6 +120,44 @@ MUTANTS = [
         "out |= self.get(bit, bit)",
         "out |= self.get(bit, 0)",
         "killed",
+    ),
+    (
+        "the permutation guard never reports a candidate outside I",
+        "src/artinstab/stability.py",
+        "if all(map(internal.__contains__, _candidates(",
+        "if True or all(map(internal.__contains__, _candidates(",
+        "killed",
+    ),
+    (
+        "the part table built from X minus one vertex",
+        "src/artinstab/stability.py",
+        "table = _part_table(g, inside)",
+        "table = _part_table(g, inside & (inside - 1))",
+        "killed",
+    ),
+    (
+        "a non-spherical part given no candidates",
+        "src/artinstab/stability.py",
+        "parts.append((T, near))",
+        "parts.append((T, near)) if g.typed(T) else None",
+        "killed",
+    ),
+    (
+        "the part keys dropped from the candidates",
+        "src/artinstab/stability.py",
+        "options = [table[P] for P in start]",
+        "options = [list({Q: 0 for parts in table.values() for Q in parts}) for P in start]",
+        "equivalent: every part of a candidate may then be any connected subset"
+        " of X, a superset of the candidates, so the guard lets fewer subsets"
+        " pass and only the cost changes",
+    ),
+    (
+        "the non-adjacency test dropped from the candidates",
+        "src/artinstab/stability.py",
+        "near | P_near, iter(",
+        "near | P, iter(",
+        "equivalent: the parts of a candidate then need only be disjoint, a"
+        " superset of the candidates, so only the cost changes",
     ),
     (
         "move back not skipped in the orbit search",

@@ -151,6 +151,12 @@ def test_threads_sharing_a_fresh_graph_answer_as_one_thread_does():
         # orbit and conjugator filled the shared step memo, as one thread would
         assert shared.twists and shared.borders
         assert_steps_as_fresh(shared)
+        # one twist object per component, shared by every border step, so
+        # that a search skips the move back by identity
+        for comp, (_, steps) in shared.borders.items():
+            for t, _, images, factor in steps:
+                twist = shared.twists[comp | t]
+                assert images is twist[0] and factor is twist[1], (g, g.names(comp))
 
 
 def test_queries_fill_the_memo_and_the_graph_keeps_it():

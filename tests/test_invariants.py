@@ -18,16 +18,11 @@ from itertools import combinations, permutations
 
 from artinstab import INFINITY, CoxeterGraph, decide_stability, orbit, standard_graph
 
+from conftest import SHAPES
+
 # every label the catalog knows, 6 (G_2) and the odd 7 included, which
 # ``conftest.random_graph`` never draws; weighted toward 2 and 3 as there
 LABELS = (2, 2, 2, 3, 3, 3, 3, 4, 5, 6, 7, INFINITY)
-
-SHAPES = (
-    [("A", n) for n in range(2, 7)]
-    + [("B", n) for n in range(2, 6)]
-    + [("D", n) for n in range(4, 7)]
-    + [("E", 6), ("F", 4), ("H", 3), ("I2", 0, 6), ("I2", 0, 7)]
-)
 
 
 def random_graph(rng: random.Random, most: int = 6) -> CoxeterGraph:

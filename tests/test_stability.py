@@ -307,6 +307,19 @@ def test_decide_d7_d6_subset_gives_d2k_witness():
     assert w.component == ("s1", "s2", "s3", "s4", "s5", "s6")
 
 
+def test_decide_witness_subset_with_a_non_spherical_component():
+    # a-b (label infinity) never moves; delta(c, d, e) swaps c and e, but d
+    # lies outside X, so the first failing subset is X itself
+    g = build_graph("abcde", ("a", "b", INFINITY), ("c", "d", 3), ("d", "e", 3))
+    w = decide_stability(g, ("a", "b", "c", "e"))
+    assert w.to_json_dict() == {
+        "kind": "permutation",
+        "subset": ["a", "b", "c", "e"],
+        "tuple": [["a", "b"], ["e"], ["c"]],
+        "word": [{"delta_of": ["c", "d", "e"], "sign": 1}],
+    }
+
+
 def test_decide_i2_singletons():
     i25 = standard_graph("I2", m=5)
     assert decide_stability(i25, ("s1",)) is None
