@@ -275,12 +275,13 @@ def _d_kind(t: IrreducibleType) -> str | None:
 
 def _find_d_obstruction(
     g: CoxeterGraph, inside: int, Y: int, Yp: TypedComponent
-) -> tuple[str | None, str] | None:
-    """(end, outside vertex) of an odd-D extension at an end of a D_2k or
-    D_4 component of Y that no inside extension repairs, neither at the same
+) -> Witness | None:
+    """The witness of an odd-D extension at an end of a D_2k or D_4
+    component of Y that no inside extension repairs, neither at the same
     end nor at all the other ends when there are any, with inside the mask
-    of X and the outside vertex the first in generator order.  The ends are
-    the tail of D_2k, reported as None, and the three leaves of D_4."""
+    of X: its leaf is the end and its attach the outside vertex, the first
+    in generator order.  The ends are the tail of D_2k, reported as None,
+    and the three leaves of D_4."""
     p = Yp.positions
     ends = (p[0], p[1], p[3]) if Yp.type.rank == 4 else (p[-1],)
     odd = {end: _odd_extensions(g, Y, end) for end in ends}
@@ -291,7 +292,8 @@ def _find_d_obstruction(
         others = [o for o in ends if o != end]
         if others and all(odd[o] & inside for o in others):
             continue
-        return (end if others else None), g.generators[(attach & -attach).bit_length() - 1]
+        return Witness(_d_kind(Yp.type), g.names(Y), component=p, leaf=end if others else None,
+                       attach=g.generators[(attach & -attach).bit_length() - 1])
     return None
 
 
@@ -343,13 +345,17 @@ def decide_stability(
 ) -> Witness | None:
     """Decide conjugacy stability of the standard parabolic subgroup on X.
 
-    Scans subsets of X largest first: even-D tail obstructions, then D_4
-    leaf obstructions, then the component-tuple comparison of the closure
-    under all twists against the closure under twists inside X.  Returns
-    the witness of the first obstruction found, or None when there is none
-    and the subgroup is stable.  All three scans run on subset masks of
-    g, which recognizes each component once per graph.  The
-    closures run on component tuples of part masks.  The border steps of
+    Looks for even-D tail obstructions, then D_4 leaf obstructions, then
+    the component-tuple comparison of the closure under all twists against
+    the closure under twists inside X, each over the subsets of X largest
+    first.  Returns the witness of the first obstruction found, or None
+    when there is none and the subgroup is stable.  The subsets are walked
+    once, each flooded into its components once, on subset masks of g,
+    which recognizes each component once per graph.  D_2k sites are
+    checked as the walk meets them, and D_4 sites after it; both only when
+    a vertex of X has 3 neighbours in X, as every D_n does.  The kept
+    components are the starts of the permutation phase, whose closures run
+    on component tuples of part masks.  The border steps of
     each component are computed once per graph and kept with it
     (``MaskTwists``); the twist steps of each union are listed once per
     call (``Moves``, which depends on X) and dropped on return.  For a subset
@@ -357,9 +363,10 @@ def decide_stability(
     tuple in I, so the external closure is I plus what grows from the
     images of I under twists outside X; that growth stops at its first
     tuple inside X, and X1 fails exactly when there is one.  That growth is
-    built only when X holds a candidate outside I: a tuple of connected
-    subsets of X, pairwise disjoint and not adjacent, whose part i has the
-    key of the i-th component of X1 (``orbit._part_key``: its type, or
+    built only when a twist outside X applies to some tuple of I and X
+    holds a candidate outside I: a tuple of connected subsets of X,
+    pairwise disjoint and not adjacent, whose part i has the key of the
+    i-th component of X1 (``orbit._part_key``: its type, or
     the component itself when it is not spherical).  A twist acts on the
     component it conjugates as a diagram automorphism and leaves the
     parts outside it in place, so every tuple that twists reach from X1
@@ -379,18 +386,22 @@ def decide_stability(
 
     inside = g.mask(Xs)
     bits = [1 << g.index[v] for v in Xs]
-    for kind in ("d2k_exception", "d4_exception"):
-        for T in _subsets_descending(bits):
-            for comp in g.components(T):
-                tc = g.typed(comp)
-                if tc is None or _d_kind(tc.type) != kind:
-                    continue
-                site = _find_d_obstruction(g, inside, T, tc)
-                if site is not None:
-                    leaf, attach = site
-                    return Witness(
-                        kind, g.names(T), component=tc.positions, leaf=leaf, attach=attach
-                    )
+    # every D_n (n >= 4) has a vertex with 3 neighbours in it, all in X
+    branched = any((g.nbrs[i] & inside).bit_count() >= 3 for i in _bits(inside))
+    walk: list[tuple[int, MaskTuple]] = []
+    d4_sites: list[tuple[int, TypedComponent]] = []
+    for T in _subsets_descending(bits):
+        walk.append((T, comps := g.components(T)))
+        for comp in comps if branched else ():
+            tc = g.typed(comp)
+            kind = tc and _d_kind(tc.type)
+            if kind == "d4_exception":  # after every D_2k site
+                d4_sites.append((T, tc))
+            elif kind and (witness := _find_d_obstruction(g, inside, T, tc)):
+                return witness
+    for T, tc in d4_sites:
+        if witness := _find_d_obstruction(g, inside, T, tc):
+            return witness
 
     outside = ((1 << len(g.generators)) - 1) & ~inside
 
@@ -399,9 +410,10 @@ def decide_stability(
 
     moves = Moves(MaskTwists(g), inside)
     table = _part_table(g, inside)
-    for X1 in _subsets_descending(bits):
-        start = g.components(X1)
+    for X1, start in walk:
         internal = _closure(moves, start, INSIDE)
+        if not any(moves[sum(T)][OUTSIDE] for T in internal):
+            continue  # no twist outside X applies to a tuple of I
         if all(map(internal.__contains__, _candidates(table, start))):
             continue  # no tuple inside X that twists can reach lies outside I
         beyond = _beyond(moves, internal, within)

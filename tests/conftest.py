@@ -48,16 +48,17 @@ def delta_map(g: CoxeterGraph, V) -> dict[str, str]:
 
 
 def random_graph(
-    rng: random.Random, max_vertices: int = 6, min_vertices: int = 1
+    rng: random.Random, max_vertices: int = 6, min_vertices: int = 1,
+    labels: tuple = LABEL_WEIGHTS,
 ) -> CoxeterGraph:
     """A random graph on min_vertices to max_vertices (at most 10) vertices
-    a, b, c, ..."""
+    a, b, c, ..., each pair's label drawn from labels."""
     n = rng.randint(min_vertices, max_vertices)
     names = list("abcdefghij"[:n])
     rels = []
     for i in range(n):
         for j in range(i + 1, n):
-            m = rng.choice(LABEL_WEIGHTS)
+            m = rng.choice(labels)
             if m != 2:
                 rels.append((names[i], names[j], m))
     return CoxeterGraph.build(names, rels)

@@ -64,6 +64,20 @@ MUTANTS = [
         "killed",
     ),
     (
+        "D_4 sites returned as the walk meets them, before later D_2k sites",
+        "src/artinstab/stability.py",
+        'if kind == "d4_exception":',
+        "if False:",
+        "killed",
+    ),
+    (
+        "D sites looked for only when a vertex has 4 neighbours in X",
+        "src/artinstab/stability.py",
+        "bit_count() >= 3 for i in _bits(inside))",
+        "bit_count() >= 4 for i in _bits(inside))",
+        "killed",
+    ),
+    (
         "E's short arm attached at position 3 instead of 4",
         "src/artinstab/classify.py",
         '"E": (6, 8, "rank 6, 7 or 8", {(0, 3): 3}, 1),',
@@ -126,6 +140,13 @@ MUTANTS = [
         "src/artinstab/stability.py",
         "if all(map(internal.__contains__, _candidates(",
         "if True or all(map(internal.__contains__, _candidates(",
+        "killed",
+    ),
+    (
+        "a subset passed when no twist inside X, not outside, applies to I",
+        "src/artinstab/stability.py",
+        "if not any(moves[sum(T)][OUTSIDE]",
+        "if not any(moves[sum(T)][INSIDE]",
         "killed",
     ),
     (

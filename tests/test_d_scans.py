@@ -10,15 +10,19 @@ most 8 vertices every X gets its ``decide_stability`` verdict and witness
 JSON compared with the reference decision.  So does every X of the 150
 small random graphs of ``test_step_table.reference_cases``, not only
 trees: their labels 4, 5 and infinity and their cycles reach other types.
+The decision looks for D sites only when a vertex of X has 3 neighbours in
+X; that no D component is missed that way is checked on catalog graphs,
+random graphs and the trees.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 
-from artinstab import check_d2k_exception, check_d4_exception, decide_stability
+from artinstab import check_d2k_exception, check_d4_exception, decide_stability, standard_graph
 
-from conftest import trees
+from conftest import LABEL_WEIGHTS, SHAPES, random_graph, trees
 from reference import Reference, is_d2k, site, subsets_descending
 from test_step_table import reference_cases
 
@@ -78,3 +82,29 @@ def test_decisions_equal_name_tuple_reference_on_small_random_graphs():
             kind = "stable" if got is None else got["kind"]
             kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds.get("permutation", 0) > 100 and kinds.get("stable", 0) > 1000, kinds
+
+
+def test_no_subset_has_a_d_component_unless_a_vertex_has_3_neighbours_in_x():
+    # the D components of subsets of X are the connected subsets C of X that
+    # are typed D (C is its own only component), so every X that misses a
+    # vertex with 3 neighbours in X must contain none of them
+    rng = random.Random(0xB4A3)
+    graphs = [standard_graph(*shape) for shape in SHAPES]
+    graphs += [random_graph(rng, 7, 4, labels=LABEL_WEIGHTS + (6, 7)) for _ in range(80)]
+    graphs += TREES
+    unbranched = with_d = 0
+    for g in graphs:
+        n = len(g.generators)
+        d_masks = {
+            C
+            for T in range(1, 1 << n)
+            for C in g.components(T)
+            if (tc := g.typed(C)) is not None and tc.type.family == "D"
+        }
+        for X in range(1, 1 << n):
+            if any((g.nbrs[i] & X).bit_count() >= 3 for i in range(n) if X >> i & 1):
+                with_d += any(C & X == C for C in d_masks)
+                continue
+            unbranched += 1
+            assert not [g.names(C) for C in d_masks if C & X == C], (g, g.names(X))
+    assert unbranched > 6000 and with_d > 300, (unbranched, with_d)

@@ -21,7 +21,7 @@ from artinstab import (
     tuple_twist,
 )
 
-from conftest import build_graph
+from conftest import build_graph, rename_graph
 
 A3 = build_graph("abc", ("a", "b", 3), ("b", "c", 3))
 
@@ -305,6 +305,23 @@ def test_decide_d7_d6_subset_gives_d2k_witness():
     assert w.kind == "d2k_exception"
     assert w.attach == "s7"
     assert w.component == ("s1", "s2", "s3", "s4", "s5", "s6")
+
+
+def test_decide_d2k_witness_comes_before_an_earlier_d4_site():
+    # D5 and D7 commuting: on X the D_4 component {a1..a4} comes first in
+    # component order, and both components are obstructions, yet every
+    # D_2k site is checked before any D_4 site
+    d5 = rename_graph(standard_graph("D", 5), {f"s{i}": f"a{i}" for i in range(1, 6)})
+    d7 = rename_graph(standard_graph("D", 7), {f"s{i}": f"b{i}" for i in range(1, 8)})
+    g = build_graph(d5.generators + d7.generators,
+                    *[(s, t, m) for h in (d5, d7) for (s, t), m in h.labels.items()])
+    a, b = [f"a{i}" for i in range(1, 5)], [f"b{i}" for i in range(1, 7)]
+    assert [recognize_component(g, c).positions for c in components(g, a + b)] == [
+        tuple(a), tuple(b)]
+    assert decide_stability(g, a + b).to_json_dict() == {
+        "kind": "d2k_exception", "subset": a + b, "component": b, "attach": "b7"}
+    assert decide_stability(g, a).to_json_dict() == {
+        "kind": "d4_exception", "subset": a, "component": a, "leaf": "a4", "attach": "a5"}
 
 
 def test_decide_witness_subset_with_a_non_spherical_component():
