@@ -8,8 +8,8 @@ Library layout:
 * :mod:`artinstab.classify` recognizes finite-type diagrams and classifies
   the whole group into hypothesis families;
 * :mod:`artinstab.twist` implements twists, the set-level conjugations by
-  Garside elements, with the one table of twist steps on masks that every
-  search runs on, kept with the graph;
+  Garside elements, and the twist steps on masks that every search runs
+  on, kept with the graph;
 * :mod:`artinstab.orbit` decides conjugacy of standard parabolic subgroups
   with the breadth-first engine that the stability closures share;
 * :mod:`artinstab.stability` decides conjugacy stability;
@@ -18,13 +18,14 @@ Library layout:
 * :mod:`artinstab.cli` is the command-line entry point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     GroupFamilyReport,
     IrreducibleType,
     TypedComponent,
     classify_group,
     is_spherical,
-    is_twistable,
     recognize_component,
     standard_graph,
 )
@@ -74,50 +75,7 @@ from .twist import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoxeterGraph",
-    "ComponentTuple",
-    "ConjugatorWord",
-    "DeltaActionUndefined",
-    "DihedralElement",
-    "GraphError",
-    "GroupFamilyReport",
-    "INFINITY",
-    "IrreducibleType",
-    "OrbitTable",
-    "StabilityReport",
-    "SubsetSizeLimitError",
-    "TwistFactor",
-    "TypedComponent",
-    "UnsupportedTypeError",
-    "VertexSet",
-    "WeylElement",
-    "Witness",
-    "adjacent",
-    "apply_word",
-    "check_d2k_exception",
-    "check_d4_exception",
-    "classify_group",
-    "components",
-    "conjugator",
-    "decide_stability",
-    "decide_with_applicability",
-    "delta_automorphism",
-    "delta_conjugate_set",
-    "elementary_twist",
-    "expand_subset",
-    "initial_tuple",
-    "is_spherical",
-    "is_twistable",
-    "longest_element",
-    "orbit",
-    "parse_graph",
-    "positive_roots",
-    "recognize_component",
-    "standard_graph",
-    "to_dot",
-    "to_json_dict",
-    "tuple_orbit",
-    "tuple_twist",
-    "w0_conjugation_permutation",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -177,12 +177,6 @@ def _delta_images(t: IrreducibleType) -> tuple[int, ...] | None:
     return None
 
 
-def is_twistable(c: TypedComponent) -> bool:
-    """Whether conjugation by the component's Garside element acts as the
-    nontrivial diagram reflection (see ``_delta_images``)."""
-    return _delta_images(c.type) is not None
-
-
 @dataclass(frozen=True)
 class GroupFamilyReport:
     """Which known-hypothesis families the whole group falls into."""

@@ -13,12 +13,13 @@ of its subsets (bit i standing for ``generators[i]``): for each vertex, the
 masks of its neighbours, its label-3 edges and its infinite edges.  The
 searches and the recognizer run on those masks.  It also keeps three memos,
 filled by the queries that meet their entries: the recognized components
-(``types``, read through ``typed``), and the twist of each component and
-its twist steps at its border (``twists`` and ``borders``, read and filled
-by ``twist.MaskTwists``).  Memo entries are pure functions of the graph, so
-threads that fill one concurrently store equal values, and a graph is safe
-to share between them; a twist or border entry is stored once, and every
-thread reads the object stored first.
+(``types``, read through ``typed``), the twist of each component
+(``twists``, read and filled by ``twist.twist_of``) and its twist steps
+at its border (``borders``, read and filled by ``twist.steps``).  Memo
+entries are pure functions of the graph, so threads that fill one
+concurrently store equal values, and a graph is safe to share between
+them; a twist or border entry is stored once, and every thread reads the
+object stored first.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ class CoxeterGraph:
                 kind[j] |= 1 << i
         bits = tuple(1 << i for i in range(n))  # one int per bit, shared by memo entries
         types: dict[int, TypedComponent | None] = {}
-        # component mask -> its twist (see ``twist.MaskTwists._twist``)
+        # component mask -> its twist (see ``twist.twist_of``)
         twists: dict[int, tuple[Images, TwistFactor] | None] = {}
-        # component mask -> its border and its steps there (``MaskTwists._alone``)
+        # component mask -> its border and its steps there (``twist._alone``)
         borders: dict[int, tuple[int, list[MaskStep]]] = {}
         # set as the fields are, through __setattr__ (the dataclass is
         # frozen): filling vars(self) instead slows every later attribute load
@@ -231,7 +232,7 @@ def parse_graph(text: bytes | str) -> CoxeterGraph:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         data = json.loads(text)
-    except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a long integer, deep nesting
         raise GraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphError("top-level value must be an object")

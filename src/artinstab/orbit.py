@@ -5,12 +5,12 @@ twist closure of the other; the search records, for every reachable subset,
 a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the graph's
 generator order and convert to name tuples only for their results; their
-twist steps come from ``twist.MaskTwists``, which keeps them with the graph
+twist steps come from ``twist.steps``, which keeps them with the graph
 once computed, and a successor is the subset XOR a step's move.  The same
-search engine, ``bfs_closure``,
-also runs the component-tuple closures of the stability decision.  The
-search keeps parent pointers; words are built only for reported states,
-each from its parent's word by one O(1) extension.
+search engine, ``bfs_closure``, also runs the component-tuple closures of
+the stability decision.  The search keeps parent pointers; words are
+built only for reported states, each from its parent's word by one O(1)
+extension.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .classify import IrreducibleType
 from .graph import CoxeterGraph, VertexSet
-from .twist import ConjugatorWord, MaskTwists, TwistFactor
+from .twist import ConjugatorWord, TwistFactor, steps
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def words(parents: Parents) -> dict[State, ConjugatorWord]:
 
 
 def _mask_twists(
-    tw: MaskTwists,
+    g: CoxeterGraph,
 ) -> Callable[[int, TwistFactor | None], list[tuple[int, TwistFactor]]]:
     """The elementary twist successors of subset masks: the component C of
     Y + t containing t is replaced by C minus the image of t, so t enters
@@ -124,7 +124,7 @@ def _mask_twists(
     def successors(Y: int, back: TwistFactor | None) -> list[tuple[int, TwistFactor]]:
         return [
             (Y ^ move, factor)
-            for _, move, _, factor in tw.steps(Y)
+            for _, move, _, factor in steps(g, Y)
             if move and factor is not back
         ]
 
@@ -133,7 +133,7 @@ def _mask_twists(
 
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    found = words(bfs_closure([g.mask(g.subset(X))], _mask_twists(MaskTwists(g))))
+    found = words(bfs_closure([g.mask(g.subset(X))], _mask_twists(g)))
     return OrbitTable(tuple((g.names(Y), word) for Y, word in found.items()))
 
 
@@ -172,5 +172,5 @@ def conjugator(
     start, target = g.mask(Xs), g.mask(Xps)
     if _twist_key(g, start) != _twist_key(g, target):
         return None
-    parents = bfs_closure([start], _mask_twists(MaskTwists(g)), target.__eq__)
+    parents = bfs_closure([start], _mask_twists(g), target.__eq__)
     return word_to(parents, target) if target in parents else None

@@ -32,7 +32,7 @@ from .classify import (
 )
 from .graph import CoxeterGraph, VertexSet, _bits, components
 from .orbit import Parents, _part_key, bfs_closure, word_to, words
-from .twist import ConjugatorWord, MaskTwists, TwistFactor
+from .twist import ConjugatorWord, TwistFactor, step_at, steps
 
 ComponentTuple = tuple[VertexSet, ...]
 
@@ -106,8 +106,8 @@ def tuple_twist(
     g: CoxeterGraph, T: ComponentTuple, t: str
 ) -> tuple[ComponentTuple, TwistFactor] | None:
     """Twist the union of the tuple at t, tracking each position's image;
-    t must be adjacent to the union (see ``MaskTwists.step_at``)."""
-    step = MaskTwists(g).step_at(g.mask(g.subset([v for part in T for v in part])), t)
+    t must be adjacent to the union (see ``twist.step_at``)."""
+    step = step_at(g, g.mask(g.subset([v for part in T for v in part])), t)
     if step is None:
         return None
     _, _, images, factor = step
@@ -124,14 +124,14 @@ class Moves(dict):
     outside, and all of them in bit order.  Filled on first lookup and
     shared by the tuple closures of one call."""
 
-    def __init__(self, tw: MaskTwists, inside: int):
+    def __init__(self, g: CoxeterGraph, inside: int):
         super().__init__()
-        self.tw = tw
+        self.g = g
         self.inside = inside
 
     def __missing__(self, union: int) -> tuple[list, list, list]:
         inner, outer, every = [], [], []
-        for tbit, _, images, factor in self.tw.steps(union):
+        for tbit, _, images, factor in steps(self.g, union):
             move = images, factor
             every.append(move)
             (inner if tbit & self.inside else outer).append(move)
@@ -246,7 +246,7 @@ def tuple_orbit(
     vertices satisfying ``allowed`` (all vertices when None)."""
     bits = g.mask(v for v in g.generators if allowed is None or allowed(v))
     start = g.components(g.mask(g.subset(X1)))
-    parents = _closure(Moves(MaskTwists(g), bits), start, INSIDE)
+    parents = _closure(Moves(g, bits), start, INSIDE)
     return {
         tuple(g.names(P) for P in T): word for T, word in words(parents).items()
     }
@@ -345,38 +345,12 @@ def decide_stability(
 ) -> Witness | None:
     """Decide conjugacy stability of the standard parabolic subgroup on X.
 
-    Looks for even-D tail obstructions, then D_4 leaf obstructions, then
-    the component-tuple comparison of the closure under all twists against
-    the closure under twists inside X, each over the subsets of X largest
-    first.  Returns the witness of the first obstruction found, or None
-    when there is none and the subgroup is stable.  The subsets are walked
-    once, each flooded into its components once, on subset masks of g,
-    which recognizes each component once per graph.  D_2k sites are
-    checked as the walk meets them, and D_4 sites after it; both only when
-    a vertex of X has 3 neighbours in X, as every D_n does.  The kept
-    components are the starts of the permutation phase, whose closures run
-    on component tuples of part masks.  The border steps of
-    each component are computed once per graph and kept with it
-    (``MaskTwists``); the twist steps of each union are listed once per
-    call (``Moves``, which depends on X) and dropped on return.  For a subset
-    X1, the internal closure I is built first.  A twist inside X keeps a
-    tuple in I, so the external closure is I plus what grows from the
-    images of I under twists outside X; that growth stops at its first
-    tuple inside X, and X1 fails exactly when there is one.  That growth is
-    built only when a twist outside X applies to some tuple of I and X
-    holds a candidate outside I: a tuple of connected subsets of X,
-    pairwise disjoint and not adjacent, whose part i has the key of the
-    i-th component of X1 (``orbit._part_key``: its type, or
-    the component itself when it is not spherical).  A twist acts on the
-    component it conjugates as a diagram automorphism and leaves the
-    parts outside it in place, so every tuple that twists reach from X1
-    and that lies inside X is a candidate, and I holds only candidates;
-    when no candidate lies outside I, X1 passes.  The candidates are built
-    from the connected subsets of X, each listed once per call with those
-    of its key (``_part_table``).  Only when X1 fails is the plain
-    external closure built, up to its first tuple inside X and not in I:
-    the witness, with the tuple and word a full build gives.  A
-    max_subset_size below 1 is a ValueError.
+    Returns the witness of the first obstruction found (D_2k tails first,
+    then D_4 leaves, then permutations, each over the subsets of X largest
+    first), or None when there is none and the subgroup is stable.  Raises
+    SubsetSizeLimitError when X has more than max_subset_size generators,
+    and ValueError when max_subset_size is below 1.  The README's
+    paragraph on conjugacy stability describes how the search runs.
     """
     if max_subset_size < 1:
         raise ValueError(f"max_subset_size must be at least 1, got {max_subset_size}")
@@ -408,7 +382,7 @@ def decide_stability(
     def within(T: MaskTuple) -> bool:
         return not sum(T) & outside
 
-    moves = Moves(MaskTwists(g), inside)
+    moves = Moves(g, inside)
     table = _part_table(g, inside)
     for X1, start in walk:
         internal = _closure(moves, start, INSIDE)

@@ -2,15 +2,16 @@
 
 Conjugating a standard parabolic subgroup by the Garside element of a
 spherical subset permutes generators according to the diagram reflection of
-each twistable component (and fixes everything else).  ``MaskTwists`` is
-the one place that computes an elementary twist: on subsets written as int
-masks of the graph, with each component recognized, twisted and given its
-border steps once per graph, in the graph's memos.  The twist at t adds t
-and removes its image, so each step carries that pair of bits as its
-move, and the twisted subset is the subset XOR the move.  Every search
-runs on it, and ``elementary_twist`` is a thin wrapper over it on name
-tuples.  Words of signed factors are kept symbolic, and a word extended by
-one factor shares the word it extends; expanding a factor into generator
+each twistable component (and fixes everything else).  ``twist_of`` is the
+one place that computes the twist of a component, written as an int mask
+of the graph, and ``steps`` lists the elementary twist steps of a subset
+mask.  Each component's twist and border steps are kept in the graph's
+memos, so each is computed once per graph.  The twist at t adds t and removes its image,
+so each step carries that pair of bits as its move, and the twisted subset
+is the subset XOR the move.  Every search runs on these functions, and
+``elementary_twist`` is a thin wrapper over ``step_at`` on name tuples.
+Words of signed factors are kept symbolic, and a word extended by one
+factor shares the word it extends; expanding a factor into generator
 letters is delegated to the oracle module and is optional.
 """
 
@@ -121,11 +122,11 @@ def delta_conjugate_set(g: CoxeterGraph, V: Iterable[str], X: Iterable[str]) -> 
     and V is spherical.
     """
     Vm, Xm = g.mask(g.subset(V)), g.mask(g.subset(X))
-    tw, out = MaskTwists(g), Xm & ~Vm
+    out = Xm & ~Vm
     for comp in g.components(Vm):
         if g.typed(comp) is None:
             raise ValueError(f"subset is not of spherical type: {list(g.names(comp))}")
-        twist = tw._twist(comp)
+        twist = twist_of(g, comp)
         # not kept: the masks of replayed words would only grow the memo
         out |= Xm & comp if twist is None else twist[0].image(Xm & comp)
     for i in _bits(Xm & ~Vm):
@@ -162,97 +163,85 @@ class Images(dict):
 MaskStep = tuple[int, int, Images, TwistFactor]
 
 
-class MaskTwists:
-    """Twists of subsets written as int masks: the twist of each component,
-    and the twist steps at the border of each component of the subsets a
-    search reaches.  Both are kept in the memos of the graph g
-    (``g.twists``, ``g.borders``), next to its masks and recognized
-    components, so each is computed once per graph; this object only
-    reads and fills them."""
+def twist_of(g: CoxeterGraph, comp: int) -> tuple[Images, TwistFactor] | None:
+    """The twist of a component mask, kept with the graph in ``g.twists``:
+    the involution that conjugation by its Garside element induces on its
+    bits, and that factor; None unless the component is twistable (a
+    component of infinite type is not)."""
+    twists = g.twists
+    if comp in twists:
+        return twists[comp]
+    tc = g.typed(comp)
+    images = None if tc is None else _delta_images(tc.type)
+    twist = None
+    if images is not None:
+        bits = [g.bits[g.index[v]] for v in tc.positions]
+        twist = Images(zip(bits, map(bits.__getitem__, images))), TwistFactor(g.names(comp), 1)
+    return twists.setdefault(comp, twist)  # one object, whichever thread stores first
 
-    def __init__(self, g: CoxeterGraph):
-        self.g = g
-        self.twists = g.twists
-        self.borders = g.borders
 
-    def _twist(self, comp: int) -> tuple[Images, TwistFactor] | None:
-        """The twist of a component mask, kept with the graph: the involution
-        that conjugation by its Garside element induces on its bits, and
-        that factor; None unless the component is twistable (a component of
-        infinite type is not)."""
-        twists = self.twists
-        if comp in twists:
-            return twists[comp]
-        g = self.g
-        tc = g.typed(comp)
-        images = None if tc is None else _delta_images(tc.type)
-        twist = None
-        if images is not None:
-            bits = [g.bits[g.index[v]] for v in tc.positions]
-            twist = Images(zip(bits, map(bits.__getitem__, images))), TwistFactor(g.names(comp), 1)
-        return twists.setdefault(comp, twist)  # one object, whichever thread stores first
+def _step(g: CoxeterGraph, tbit: int, comp: int) -> MaskStep | None:
+    """The step at t whose component of Y + t is comp, None when comp is
+    not twistable."""
+    twist = twist_of(g, comp)
+    return None if twist is None else (tbit, tbit ^ twist[0][tbit], *twist)
 
-    def _step(self, tbit: int, comp: int) -> MaskStep | None:
-        """The step at t whose component of Y + t is comp, None when comp is
-        not twistable."""
-        twist = self._twist(comp)
-        return None if twist is None else (tbit, tbit ^ twist[0][tbit], *twist)
 
-    def step_at(self, Y: int, t: str) -> MaskStep | None:
-        """The step of the subset mask Y at the generator t, None when the
-        component of Y + t containing t is not twistable.  An unknown t is
-        a GraphError, and a t that is not adjacent to Y a ValueError."""
-        g = self.g
-        (t,) = g.subset((t,))
-        i = g.index[t]
-        if Y >> i & 1 or not g.nbrs[i] & Y:
-            raise ValueError(f"{t!r} is not adjacent to {list(g.names(Y))}")
-        return self._step(1 << i, g.flood(1 << i, Y | 1 << i))
+def step_at(g: CoxeterGraph, Y: int, t: str) -> MaskStep | None:
+    """The step of the subset mask Y at the generator t, None when the
+    component of Y + t containing t is not twistable.  An unknown t is
+    a GraphError, and a t that is not adjacent to Y a ValueError."""
+    (t,) = g.subset((t,))
+    i = g.index[t]
+    if Y >> i & 1 or not g.nbrs[i] & Y:
+        raise ValueError(f"{t!r} is not adjacent to {list(g.names(Y))}")
+    return _step(g, 1 << i, g.flood(1 << i, Y | 1 << i))
 
-    def _alone(self, C: int) -> tuple[int, list[MaskStep]]:
-        """(the border of the component mask C, the steps at each border bit
-        t when t is adjacent to C alone, so that C + t is the component of
-        t), kept with the graph in ``borders``."""
-        g = self.g
-        border = 0
-        for i in _bits(C):
-            border |= g.nbrs[i]
-        border &= ~C
-        steps = []
-        for i in _bits(border):
-            tbit = g.bits[i]
-            step = self._step(tbit, C | tbit)
-            if step is not None:
-                steps.append(step)
-        return self.borders.setdefault(C, (border, steps))
 
-    def steps(self, Y: int) -> list[MaskStep]:
-        """The steps of Y at each t adjacent to Y whose component C of Y + t
-        containing t is twistable, in increasing bit order, the order of
-        ``adjacent``.  C is t plus the components of Y adjacent to t: the
-        steps at a t adjacent to one component alone come from that
-        component's list, and only the others are flooded and recognized
-        here.  The list may be shared: do not modify it."""
-        borders, flood, parts, rest = self.borders, self.g.flood, [], Y
-        while rest:  # one flood per component of Y
-            C = flood(rest & -rest, rest)
-            rest ^= C
-            parts.append(borders.get(C) or self._alone(C))
-        if len(parts) == 1:
-            return parts[0][1]
-        seen = multi = 0
-        for border, _ in parts:
-            multi |= seen & border
-            seen |= border
-        out = [step for _, steps in parts for step in steps if not step[0] & multi]
-        while multi:
-            tbit = multi & -multi
-            multi ^= tbit
-            step = self._step(tbit, flood(tbit, Y | tbit))
-            if step is not None:
-                out.append(step)
-        out.sort()  # by bit of t: the bits in a list are distinct
-        return out
+def _alone(g: CoxeterGraph, C: int) -> tuple[int, list[MaskStep]]:
+    """(the border of the component mask C, the steps at each border bit
+    t when t is adjacent to C alone, so that C + t is the component of
+    t), kept with the graph in ``g.borders``."""
+    border = 0
+    for i in _bits(C):
+        border |= g.nbrs[i]
+    border &= ~C
+    steps = []
+    for i in _bits(border):
+        tbit = g.bits[i]
+        step = _step(g, tbit, C | tbit)
+        if step is not None:
+            steps.append(step)
+    return g.borders.setdefault(C, (border, steps))
+
+
+def steps(g: CoxeterGraph, Y: int) -> list[MaskStep]:
+    """The steps of Y at each t adjacent to Y whose component C of Y + t
+    containing t is twistable, in increasing bit order, the order of
+    ``adjacent``.  C is t plus the components of Y adjacent to t: the
+    steps at a t adjacent to one component alone come from that
+    component's list, and only the others are flooded and recognized
+    here.  The list may be shared: do not modify it."""
+    borders, flood, parts, rest = g.borders, g.flood, [], Y
+    while rest:  # one flood per component of Y
+        C = flood(rest & -rest, rest)
+        rest ^= C
+        parts.append(borders.get(C) or _alone(g, C))
+    if len(parts) == 1:
+        return parts[0][1]
+    seen = multi = 0
+    for border, _ in parts:
+        multi |= seen & border
+        seen |= border
+    out = [step for _, steps in parts for step in steps if not step[0] & multi]
+    while multi:
+        tbit = multi & -multi
+        multi ^= tbit
+        step = _step(g, tbit, flood(tbit, Y | tbit))
+        if step is not None:
+            out.append(step)
+    out.sort()  # by bit of t: the bits in a list are distinct
+    return out
 
 
 def elementary_twist(
@@ -264,10 +253,10 @@ def elementary_twist(
 
     Returns the twisted set and the factor, or None when C is not
     twistable.  The new set has the same size as Y.  t must be adjacent
-    to Y (see ``MaskTwists.step_at``).
+    to Y (see ``step_at``).
     """
     Ym = g.mask(g.subset(Y))
-    step = MaskTwists(g).step_at(Ym, t)
+    step = step_at(g, Ym, t)
     if step is None:
         return None
     _, move, _, factor = step

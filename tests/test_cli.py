@@ -363,8 +363,12 @@ def test_types_outside_the_oracle_are_answered(capsys, tmp_path, shape):
 
 @pytest.mark.parametrize(
     "raw",
-    [b"\xff\xfe", b'{"generators": ["a", "b"], "relations": [["a", "b", 1%s]]}' % (b"0" * 5000)],
-    ids=["not-utf8", "over-long-integer"],
+    [
+        b"\xff\xfe",
+        b'{"generators": ["a", "b"], "relations": [["a", "b", 1%s]]}' % (b"0" * 5000),
+        b"[" * 200000,
+    ],
+    ids=["not-utf8", "over-long-integer", "deep-nesting"],
 )
 def test_undecodable_graph_file_is_invalid_input(capsys, tmp_path, raw):
     bad = tmp_path / "bad.json"
@@ -372,7 +376,7 @@ def test_undecodable_graph_file_is_invalid_input(capsys, tmp_path, raw):
     code, out, err = run(capsys, "classify", "--graph", str(bad))
     assert code == 2
     assert out == ""
-    assert "malformed JSON" in err
+    assert "malformed JSON" in err and "Traceback" not in err
 
 
 def test_stability_on_rank_40(capsys, tmp_path):

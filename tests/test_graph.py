@@ -102,6 +102,8 @@ def test_parse_rejects_labels_outside_the_format(label):
         ('{"generators": ["a b"]}', "invalid generator"),
         ('{"generators": ["ä"]}', "invalid generator"),
         ("not json", "malformed"),
+        pytest.param("[" * 200000, "malformed JSON", id="deep-nesting"),
+        pytest.param('{"a": ' * 200000, "malformed JSON", id="deep-object-nesting"),
         ("[1, 2]", "object"),
     ],
 )

@@ -24,7 +24,7 @@ from artinstab import (
     recognize_component,
     standard_graph,
 )
-from artinstab.twist import MaskTwists
+from artinstab.twist import _alone, twist_of
 
 from conftest import build_graph, random_graph, random_subset
 
@@ -47,16 +47,16 @@ def same_images(warm, fresh) -> bool:
 
 
 def assert_steps_as_fresh(g: CoxeterGraph) -> None:
-    """Each entry of g's ``twists`` and ``borders`` equals the one a fresh
-    ``MaskTwists`` computes on a rebuilt graph."""
-    tw = MaskTwists(rebuilt(g))
+    """Each entry of g's ``twists`` and ``borders`` equals the one that
+    ``twist_of`` and ``_alone`` compute on a rebuilt graph."""
+    fresh_g = rebuilt(g)
     for comp, twist in g.twists.items():
-        fresh = tw._twist(comp)
+        fresh = twist_of(fresh_g, comp)
         assert (twist is None) == (fresh is None), (g, g.names(comp))
         if twist is not None:
             assert twist[1] == fresh[1] and same_images(twist[0], fresh[0]), (g, g.names(comp))
     for comp, (border, steps) in g.borders.items():
-        fresh_border, fresh_steps = tw._alone(comp)
+        fresh_border, fresh_steps = _alone(fresh_g, comp)
         assert border == fresh_border and len(steps) == len(fresh_steps), (g, g.names(comp))
         for (t, move, images, factor), fresh in zip(steps, fresh_steps):
             assert (t, move, factor) == (fresh[0], fresh[1], fresh[3]), (g, g.names(comp))

@@ -1,6 +1,8 @@
-"""Every name a library or test module imports is used in that module, the
-test-side reference, ``tests/reference.py``, imports only public names,
-and every public function has a caller outside the tests.
+"""The public names are exactly ``PUBLIC``, each listed once in
+``artinstab.__all__`` and none a module; every name a library or test
+module imports is used in that module, the test-side reference,
+``tests/reference.py``, imports only public names, and every public
+function has a caller outside the tests.
 
 The package ``__init__`` is skipped: it imports names only to re-export
 them.  A name counts as used when it appears as an identifier anywhere in
@@ -21,6 +23,7 @@ import ast
 import inspect
 from functools import cached_property
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -31,6 +34,29 @@ REFERENCE = Path(__file__).resolve().parent / "reference.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(REFERENCE.parent.glob("*.py"))
 PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+
+# A public name added or removed is a public API change: update this set,
+# CHANGES.md and the README together.
+PUBLIC = {
+    "ComponentTuple", "ConjugatorWord", "CoxeterGraph", "DeltaActionUndefined",
+    "DihedralElement", "GraphError", "GroupFamilyReport", "INFINITY",
+    "IrreducibleType", "OrbitTable", "StabilityReport", "SubsetSizeLimitError",
+    "TwistFactor", "TypedComponent", "UnsupportedTypeError", "VertexSet",
+    "WeylElement", "Witness", "adjacent", "apply_word", "check_d2k_exception",
+    "check_d4_exception", "classify_group", "components", "conjugator",
+    "decide_stability", "decide_with_applicability", "delta_automorphism",
+    "delta_conjugate_set", "elementary_twist", "expand_subset", "initial_tuple",
+    "is_spherical", "longest_element", "orbit", "parse_graph", "positive_roots",
+    "recognize_component", "standard_graph", "to_dot", "to_json_dict",
+    "tuple_orbit", "tuple_twist", "w0_conjugation_permutation",
+}
+
+
+def test_the_public_names_are_pinned_listed_once_and_no_module():
+    names = artinstab.__all__
+    assert len(names) == len(set(names)), names
+    assert set(names) == PUBLIC, set(names) ^ PUBLIC
+    assert not [name for name in names if isinstance(getattr(artinstab, name), ModuleType)]
 
 
 def unused_imports(source: str) -> list[str]:

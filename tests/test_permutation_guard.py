@@ -22,7 +22,6 @@ from artinstab.stability import (
     _part_table,
     _subsets_descending,
 )
-from artinstab.twist import MaskTwists
 
 from conftest import SHAPES, random_graph
 
@@ -35,7 +34,7 @@ def check_guard(g) -> tuple[int, int]:
             inside = g.mask(X)
             bits = [1 << g.index[v] for v in X]
             table = _part_table(g, inside)
-            moves = Moves(MaskTwists(g), inside)
+            moves = Moves(g, inside)
             for X1 in _subsets_descending(bits):
                 start = g.components(X1)
                 internal = _closure(moves, start, INSIDE)

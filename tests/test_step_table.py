@@ -4,13 +4,13 @@
   subset of A2-A7, B2-B4, D4-D7, E6, E7, F4 and I2(5..7); the sweep must
   reproduce it byte for byte.  Regenerate it (only for a deliberate witness
   change) with ``PYTHONPATH=src python tests/test_step_table.py --write``.
-* The mask closures the decision builds, with one ``MaskTwists`` and one
-  ``Moves`` shared by all subsets and names converted at the boundary,
-  must equal, keys, words and order, the closures of the name-tuple
-  reference of ``tests/reference.py``.
+* The mask closures the decision builds, with one ``Moves`` shared by all
+  subsets and names converted at the boundary, must equal, keys, words
+  and order, the closures of the name-tuple reference of
+  ``tests/reference.py``.
 * The decision's external closure, grown from the internal one, must hold
   the states of the plain closure under all twists.
-* ``MaskTwists.steps``, which derives the steps of a subset from those of
+* ``twist.steps``, which derives the steps of a subset from those of
   its components, must equal one flood per neighbour of the subset, each
   step's move being the bits of t and of its image.
 """
@@ -27,16 +27,15 @@ from artinstab import (
     TwistFactor,
     decide_stability,
     delta_automorphism,
-    is_twistable,
     recognize_component,
     standard_graph,
 )
 from artinstab.orbit import words
 from artinstab.stability import EVERYWHERE, INSIDE, Moves, _beyond, _closure
-from artinstab.twist import MaskTwists
+from artinstab.twist import steps
 
 from conftest import random_graph, random_subset, rename_graph
-from reference import Reference
+from reference import Reference, twistable
 
 GOLDEN = Path(__file__).parent / "data" / "stability_witness_golden.json"
 
@@ -106,8 +105,7 @@ def test_shared_step_table_closures_equal_name_tuple_reference():
     for g, X in reference_cases():
         ref = Reference(g)
         # one set of tables for every subset, as in the decision
-        tw = MaskTwists(g)
-        moves = Moves(tw, g.mask(X))
+        moves = Moves(g, g.mask(X))
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
                 start = g.components(g.mask(X1))
@@ -122,9 +120,8 @@ def test_shared_step_table_closures_equal_name_tuple_reference():
 def test_internal_closure_and_its_beyond_make_the_external_closure():
     compared = failing = 0
     for g, X in reference_cases():
-        tw = MaskTwists(g)
         inside = g.mask(X)
-        moves = Moves(tw, inside)  # shared by every subset, as in the decision
+        moves = Moves(g, inside)  # shared by every subset, as in the decision
         for r in range(len(X), 0, -1):
             for X1 in combinations(X, r):
                 start = g.components(g.mask(X1))
@@ -153,7 +150,7 @@ def flood_steps(g, Y):
         if near & tbit and not Y & tbit:
             comp = g.flood(tbit, Y | tbit)
             tc = recognize_component(g, g.names(comp))
-            if tc is not None and is_twistable(tc):
+            if tc is not None and twistable(tc):
                 bit = {v: 1 << g.index[v] for v in tc.vertices}
                 perm = {bit[v]: bit[w] for v, w in delta_automorphism(tc).items()}
                 assert sum(perm) == comp
@@ -166,10 +163,9 @@ def test_steps_from_components_equal_one_flood_per_neighbour():
     shared = 0  # steps at a vertex adjacent to two or more components of Y
     for _ in range(30):
         g = random_graph(rng, max_vertices=10, min_vertices=7)
-        tw = MaskTwists(g)  # the fresh graph's tables, for every subset
-        for Y in range(1 << len(g.generators)):
+        for Y in range(1 << len(g.generators)):  # every subset, on the fresh graph's tables
             # only steps fill these tables, so each images holds its permutation alone
-            got = [(t, move, dict(images), factor) for t, move, images, factor in tw.steps(Y)]
+            got = [(t, move, dict(images), factor) for t, move, images, factor in steps(g, Y)]
             assert got == flood_steps(g, Y), (g, g.names(Y))
             for _, _, perm, _ in got:
                 shared += sum(1 for c in g.components(Y) if c & sum(perm)) >= 2
