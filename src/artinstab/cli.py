@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .classify import classify_group, recognize_component, standard_graph
 from .graph import CoxeterGraph, GraphError, components, parse_graph, to_dot, to_json_dict
@@ -47,7 +46,8 @@ def _emit_json(payload) -> None:
 def _load_graph(args) -> CoxeterGraph:
     # an unreadable file is invalid input; an output error is not
     try:
-        data = Path(args.graph).read_bytes()
+        with open(args.graph, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise GraphError(str(exc)) from None
     return parse_graph(data)

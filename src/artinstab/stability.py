@@ -213,28 +213,20 @@ def _part_table(g: CoxeterGraph, inside: int) -> PartTable:
     return table
 
 
-def _candidates(table: PartTable, start: MaskTuple) -> Iterator[MaskTuple]:
-    """The tuples of connected subsets of X whose part i has the key of
-    start[i] and whose parts are pairwise disjoint and not adjacent: every
-    tuple inside X that twists can reach from start is one.  Depth first,
-    from a stack of the options left for each part, so that the first
-    tuple comes after len(start) choices and none is built ahead of use."""
-    options = [table[P] for P in start]
-    last = len(options) - 1
-    # (the parts chosen, them and their neighbours, the options of the next)
-    stack = [((), 0, iter(options[0]))]
-    while stack:
-        head, near, parts = stack[-1]
-        for P, P_near in parts:
-            if P & near:
-                continue
-            if len(head) == last:
-                yield (*head, P)
-            else:
-                stack.append(((*head, P), near | P_near, iter(options[len(head) + 1])))
+def _count(options: list[list[tuple[int, int]]], limit: int, near: int = 0, i: int = 0) -> int:
+    """The number of candidates, tuples whose part i is a mask of
+    options[i] (the ``PartTable`` list of a component of X1), pairwise
+    disjoint and not adjacent, or limit + 1 once it passes limit.  Every
+    tuple inside X that twists can reach from X1 is one.  Depth first from
+    part i, with near the mask of the parts chosen and their neighbours,
+    so that no more than limit + 1 candidates are walked."""
+    last, found = i == len(options) - 1, 0
+    for P, P_near in options[i]:
+        if not P & near:
+            found += 1 if last else _count(options, limit - found, near | P_near, i + 1)
+            if found > limit:
                 break
-        else:
-            stack.pop()
+    return found
 
 
 def tuple_orbit(
@@ -384,12 +376,19 @@ def decide_stability(
 
     moves = Moves(g, inside)
     table = _part_table(g, inside)
+    counts: dict[MaskTuple, tuple[int, int]] = {}  # sorted part keys -> (count, limit)
     for X1, start in walk:
         internal = _closure(moves, start, INSIDE)
         if not any(moves[sum(T)][OUTSIDE] for T in internal):
             continue  # no twist outside X applies to a tuple of I
-        if all(map(internal.__contains__, _candidates(table, start))):
-            continue  # no tuple inside X that twists can reach lies outside I
+        key = tuple(sorted(table[P][0][0] for P in start))  # a mask for each part key
+        found, limit = counts.get(key, (0, -1))
+        if limit < found <= len(internal):  # found passed its limit: a bound too low to decide
+            limit = len(internal)
+            found = _count([table[P] for P in start], limit)
+            counts[key] = found, limit
+        if found == len(internal):
+            continue  # I holds every candidate, so no tuple inside X lies outside I
         beyond = _beyond(moves, internal, within)
         if not (beyond and within(next(reversed(beyond)))):
             continue

@@ -145,8 +145,36 @@ MUTANTS = [
     (
         "the permutation guard never reports a candidate outside I",
         "src/artinstab/stability.py",
-        "if all(map(internal.__contains__, _candidates(",
-        "if True or all(map(internal.__contains__, _candidates(",
+        "if found == len(internal):",
+        "if True:",
+        "killed",
+    ),
+    (
+        "a stored lower bound on the candidates read as their count",
+        "src/artinstab/stability.py",
+        "if limit < found <= len(internal):",
+        "if limit < 0:",
+        "killed",
+    ),
+    (
+        "the candidate counts kept by the number of parts, not their keys",
+        "src/artinstab/stability.py",
+        "key = tuple(sorted(table[P][0][0] for P in start))",
+        "key = len(start)",
+        "killed",
+    ),
+    (
+        "the candidate counts kept on the graph",
+        "src/artinstab/stability.py",
+        "counts: dict[MaskTuple, tuple[int, int]] = {}",
+        'counts = vars(g).setdefault("counts", {})',
+        "killed",
+    ),
+    (
+        "a complete candidate counted as 0",
+        "src/artinstab/stability.py",
+        "found += 1 if last else",
+        "found += 0 if last else",
         "killed",
     ),
     (
@@ -173,19 +201,28 @@ MUTANTS = [
     (
         "the part keys dropped from the candidates",
         "src/artinstab/stability.py",
-        "options = [table[P] for P in start]",
-        "options = [list({Q: 0 for parts in table.values() for Q in parts}) for P in start]",
+        "found = _count([table[P] for P in start], limit)",
+        "found = _count([list({Q: 0 for parts in table.values() for Q in parts})"
+        " for P in start], limit)",
         "equivalent: every part of a candidate may then be any connected subset"
-        " of X, a superset of the candidates, so the guard lets fewer subsets"
-        " pass and only the cost changes",
+        " of X, a superset of the candidates, so the count is at least the"
+        " true one, the guard lets fewer subsets pass and only the cost changes",
     ),
     (
         "the non-adjacency test dropped from the candidates",
         "src/artinstab/stability.py",
-        "near | P_near, iter(",
-        "near | P, iter(",
+        "near | P_near, i + 1)",
+        "near | P, i + 1)",
         "equivalent: the parts of a candidate then need only be disjoint, a"
         " superset of the candidates, so only the cost changes",
+    ),
+    (
+        "the guard passes a subset with at most as many candidates as I",
+        "src/artinstab/stability.py",
+        "if found == len(internal):",
+        "if found <= len(internal):",
+        "equivalent: I holds only candidates, so the count is never below"
+        " the size of I, and at most is the same test as equal",
     ),
     (
         "move back not skipped in the orbit search",
