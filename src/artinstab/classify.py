@@ -14,8 +14,7 @@ twists all read that memo.  The diagrams themselves are written once, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
     INFINITY,
@@ -25,8 +24,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True, order=True, slots=True)  # slots: kept per component in a graph's memo
-class IrreducibleType:
+class IrreducibleType(NamedTuple):
     """A catalog entry: family letter plus rank (and the edge label for I2)."""
 
     family: str  # "A", "B", "D", "E", "F", "H" or "I2"
@@ -39,8 +37,7 @@ class IrreducibleType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True, slots=True)  # slots: kept per component in a graph's memo
-class TypedComponent:
+class TypedComponent(NamedTuple):
     """A recognized component with its canonical position labeling.
 
     ``positions[i]`` is the generator sitting at diagram position i + 1.
@@ -177,8 +174,7 @@ def _delta_images(t: IrreducibleType) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class GroupFamilyReport:
+class GroupFamilyReport(NamedTuple):
     """Which known-hypothesis families the whole group falls into."""
 
     spherical: bool

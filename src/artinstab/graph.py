@@ -25,7 +25,6 @@ object stored first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -59,7 +58,6 @@ def _valid_label(m: object) -> bool:
     return m == INFINITY or (_is_int(m) and m >= 2)
 
 
-@dataclass(frozen=True)
 class CoxeterGraph:
     """Immutable labeled graph on a lexicographically sorted generator tuple.
 
@@ -73,20 +71,21 @@ class CoxeterGraph:
     fields take part in equality, ``repr``, pickling and copying, with the
     labels as a plain dict; the masks and the memos (``types``, ``twists``,
     ``borders``) are built from them, so a clone starts with empty memos.
+    Assigning or deleting an attribute raises AttributeError, and a graph
+    is unhashable, as its labels are.
     """
 
-    generators: VertexSet
-    labels: Mapping[tuple[str, str], Label]
+    __hash__ = None
 
-    def __post_init__(self):
-        gens = self.generators
+    def __init__(self, generators: VertexSet, labels: Mapping[tuple[str, str], Label]):
+        gens = generators
         if not (isinstance(gens, tuple) and gens and all(map(_valid_name, gens))
                 and all(map(str.__lt__, gens, gens[1:]))):
             raise GraphError(f"generators must be distinct valid names in sorted order: {gens!r}")
         index = {v: i for i, v in enumerate(gens)}
         n = len(index)
         nbrs, three, inf = [0] * n, [0] * n, [0] * n
-        for key, m in self.labels.items():
+        for key, m in labels.items():
             s, t = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             i, j = index.get(s, n), index.get(t, -1)
             if not i < j:  # two generators, in sorted order
@@ -105,14 +104,25 @@ class CoxeterGraph:
         twists: dict[int, tuple[Images, TwistFactor] | None] = {}
         # component mask -> its border and its steps there (``twist._alone``)
         borders: dict[int, tuple[int, list[MaskStep]]] = {}
-        # set as the fields are, through __setattr__ (the dataclass is
-        # frozen): filling vars(self) instead slows every later attribute load
+        # set through object.__setattr__, as our own __setattr__ raises:
+        # filling vars(self) instead slows every later attribute load
         put = object.__setattr__
-        for name, value in (("labels", MappingProxyType(dict(self.labels))),
+        for name, value in (("generators", gens), ("labels", MappingProxyType(dict(labels))),
                             ("index", index), ("bits", bits), ("nbrs", nbrs), ("three", three),
                             ("inf", inf), ("types", types), ("twists", twists),
                             ("borders", borders)):
             put(self, name, value)
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators and self.labels == other.labels
 
     @staticmethod
     def build(

@@ -15,7 +15,7 @@ arithmetic, they are never twistable, and their longest element is central.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import TypedComponent, _diagram, recognize_component
 from .graph import CoxeterGraph, components
@@ -31,8 +31,7 @@ class UnsupportedTypeError(ValueError):
     was requested)."""
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Integer matrix on the root lattice plus the word that produced it
     (1-based position indices, multiplied left to right)."""
 
@@ -40,8 +39,7 @@ class WeylElement:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(NamedTuple):
     """Element of the dihedral group of order 2m: (s1 s2)^rot, optionally
     followed by s1, plus the producing word."""
 

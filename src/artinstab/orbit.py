@@ -16,7 +16,6 @@ extension.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .classify import IrreducibleType
@@ -24,7 +23,6 @@ from .graph import CoxeterGraph, VertexSet
 from .twist import ConjugatorWord, TwistFactor, steps
 
 
-@dataclass(frozen=True)
 class OrbitTable:
     """Insertion-ordered map from reachable subsets to witness words.
 
@@ -32,10 +30,23 @@ class OrbitTable:
     applying any entry's word to the start subset yields the entry's key.
     Iterating yields the (subset, word) entries, so ``dict(table)`` maps
     each subset to its word; ``Y in table`` asks whether the subset Y is a
-    key, as ``Y in dict(table)`` does.
+    key, as ``Y in dict(table)`` does.  Equality, hashing and ``repr`` go
+    by ``entries``, which is never changed after construction.
     """
 
-    entries: tuple[tuple[VertexSet, ConjugatorWord], ...]
+    def __init__(self, entries: tuple[tuple[VertexSet, ConjugatorWord], ...]):
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"OrbitTable(entries={self.entries!r})"
 
     def __len__(self) -> int:
         return len(self.entries)

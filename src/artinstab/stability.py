@@ -19,9 +19,8 @@ ribbon and parabolic-closure hypotheses of the containing group's family).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classify import (
     GroupFamilyReport,
@@ -49,8 +48,7 @@ class SubsetSizeLimitError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Machine-checkable evidence for a NotStable verdict."""
 
     kind: str  # "permutation" | "d2k_exception" | "d4_exception"
@@ -76,8 +74,7 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Verdict plus the semantics it carries and the group-family context."""
 
     verdict: str

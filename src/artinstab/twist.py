@@ -17,9 +17,8 @@ letters is delegated to the oracle module and is optional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .classify import TypedComponent, _delta_images
 from .graph import CoxeterGraph, VertexSet, _bits
@@ -39,8 +38,7 @@ class DeltaActionUndefined(ValueError):
         )
 
 
-@dataclass(frozen=True, slots=True)  # slots: graphs keep one per twistable component
-class TwistFactor:
+class TwistFactor(NamedTuple):
     """A signed Garside factor delta(subset)^sign; the subset is spherical."""
 
     subset: VertexSet

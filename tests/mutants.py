@@ -117,8 +117,29 @@ MUTANTS = [
     (
         "labels kept as given, mutable",
         "src/artinstab/graph.py",
-        '("labels", MappingProxyType(dict(self.labels)))',
-        '("labels", self.labels)',
+        '("labels", MappingProxyType(dict(labels)))',
+        '("labels", labels)',
+        "killed",
+    ),
+    (
+        "graphs compared by their generators alone",
+        "src/artinstab/graph.py",
+        "return self.generators == other.generators and self.labels == other.labels",
+        "return self.generators == other.generators",
+        "killed",
+    ),
+    (
+        "a graph attribute assigned instead of refused",
+        "src/artinstab/graph.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        "killed",
+    ),
+    (
+        "orbit tables compared without their entries",
+        "src/artinstab/orbit.py",
+        "return self.entries == other.entries",
+        "return True",
         "killed",
     ),
     (

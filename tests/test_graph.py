@@ -170,6 +170,16 @@ def test_equality_repr_and_pickle_bytes_are_those_of_a_plain_label_dict():
         assert clone == g and repr(clone) == repr(g)
         with pytest.raises(TypeError):
             clone.labels[("s1", "s3")] = 3
+    assert g != (g.generators, g.labels)
+    # read-only and unhashable, with the fields first in vars(g)
+    for name in ("generators", "labels", "types", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(TypeError):
+        hash(g)
+    assert list(vars(g))[:2] == ["generators", "labels"] and vars(g)["labels"] is g.labels
 
 
 def test_roundtrip_preserves_label_map():

@@ -2,7 +2,8 @@
 ``artinstab.__all__`` and none a module; every name a library or test
 module imports is used in that module, the test-side reference,
 ``tests/reference.py``, imports only public names, and every public
-function has a caller outside the tests.
+function has a caller outside the tests.  Importing the library and its
+CLI loads no ``dataclasses``.
 
 The package ``__init__`` is skipped: it imports names only to re-export
 them.  A name counts as used when it appears as an identifier anywhere in
@@ -21,6 +22,8 @@ attribute.
 
 import ast
 import inspect
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 from types import ModuleType
@@ -57,6 +60,16 @@ def test_the_public_names_are_pinned_listed_once_and_no_module():
     assert len(names) == len(set(names)), names
     assert set(names) == PUBLIC, set(names) ^ PUBLIC
     assert not [name for name in names if isinstance(getattr(artinstab, name), ModuleType)]
+
+
+def test_importing_the_library_and_its_cli_loads_no_dataclasses():
+    # a fresh isolated interpreter, as one CLI call starts; dataclasses
+    # alone pulls in inspect, ast, dis and tokenize
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import artinstab, artinstab.cli; "
+            "assert artinstab.__file__.startswith(sys.path[0]), artinstab.__file__; "
+            "print('dataclasses' in sys.modules)")
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def unused_imports(source: str) -> list[str]:

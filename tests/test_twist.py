@@ -8,16 +8,20 @@ from artinstab import (
     ConjugatorWord,
     DeltaActionUndefined,
     GraphError,
+    IrreducibleType,
     OrbitTable,
+    StabilityReport,
     TwistFactor,
     Witness,
     adjacent,
     apply_word,
+    classify_group,
     components,
     decide_stability,
     delta_automorphism,
     delta_conjugate_set,
     elementary_twist,
+    longest_element,
     orbit,
     recognize_component,
     standard_graph,
@@ -289,3 +293,67 @@ def test_a_word_built_by_extension_behaves_like_its_tuple():
     assert dict(table)[("s2",)] == flat
     assert table.to_json_list()[1]["word"] == flat.to_json_list()
     del built, a, b, witness, table  # freeing the chain must not recurse either
+
+
+A2_FAMILY = (
+    "GroupFamilyReport(spherical=True, fc_type=True, free_product_of_spherical=True, "
+    "free_factors=((('s1', 's2'), ('A2',)),), large=True, two_dimensional=True, "
+    "martin_2dim_condition=True, affine_family=None, applicability='FullStability', "
+    "justification='the whole group is of spherical type')"
+)
+
+# (record, its fields in order, its repr as the frozen dataclass wrote it)
+RECORDS = [
+    pytest.param(lambda: IrreducibleType("I2", 2, 5), ("family", "rank", "m"),
+                 "IrreducibleType(family='I2', rank=2, m=5)", id="IrreducibleType"),
+    pytest.param(lambda: recognize_component(standard_graph("A", 2), ["s1", "s2"]),
+                 ("type", "positions"),
+                 "TypedComponent(type=IrreducibleType(family='A', rank=2, m=0), positions=('s1', 's2'))",
+                 id="TypedComponent"),
+    pytest.param(lambda: classify_group(standard_graph("A", 2)),
+                 ("spherical", "fc_type", "free_product_of_spherical", "free_factors", "large",
+                  "two_dimensional", "martin_2dim_condition", "affine_family", "applicability",
+                  "justification"),
+                 A2_FAMILY, id="GroupFamilyReport"),
+    pytest.param(lambda: TwistFactor(("s1", "s2"), -1), ("subset", "sign"),
+                 "TwistFactor(subset=('s1', 's2'), sign=-1)", id="TwistFactor"),
+    pytest.param(lambda: decide_stability(standard_graph("A", 3), ["s1", "s3"]),
+                 ("kind", "subset", "tuple", "word", "component", "leaf", "attach"),
+                 "Witness(kind='permutation', subset=('s1', 's3'), tuple=(('s3',), ('s1',)), "
+                 "word=ConjugatorWord(factors=(TwistFactor(subset=('s1', 's2', 's3'), sign=1),)), "
+                 "component=None, leaf=None, attach=None)", id="Witness"),
+    pytest.param(lambda: StabilityReport("stable", "stability", None, classify_group(standard_graph("A", 2))),
+                 ("verdict", "semantics", "witness", "family", "flags", "reason"),
+                 f"StabilityReport(verdict='stable', semantics='stability', witness=None, "
+                 f"family={A2_FAMILY}, flags=(), reason=None)", id="StabilityReport"),
+    pytest.param(lambda: longest_element(recognize_component(standard_graph("A", 2), ["s1", "s2"])),
+                 ("matrix", "word"), "WeylElement(matrix=((0, -1), (-1, 0)), word=(1, 2, 1))",
+                 id="WeylElement"),
+    pytest.param(lambda: longest_element(recognize_component(standard_graph("I2", 2, 5), ["s1", "s2"])),
+                 ("m", "rot", "flip", "word"), "DihedralElement(m=5, rot=2, flip=True, word=(1, 2, 1, 2, 1))",
+                 id="DihedralElement"),
+]
+
+
+@pytest.mark.parametrize("make, fields, text", RECORDS)
+def test_a_record_is_a_read_only_tuple_of_its_fields(make, fields, text):
+    record = make()
+    values = tuple(getattr(record, name) for name in fields)
+    assert repr(record) == text and hash(record) == hash(values)
+    assert tuple(record) == values and record == values
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
+
+
+def test_an_orbit_table_compares_hashes_and_prints_by_its_entries():
+    table = orbit(standard_graph("A", 2), ["s1"])
+    entries = ((("s1",), ConjugatorWord()), (("s2",), ConjugatorWord([TwistFactor(("s1", "s2"))])))
+    assert table.entries == entries and table == OrbitTable(entries) and hash(table) == hash((entries,))
+    assert table != OrbitTable(entries[:1]) and table != entries
+    assert repr(table) == (
+        "OrbitTable(entries=((('s1',), ConjugatorWord(factors=())), (('s2',), "
+        "ConjugatorWord(factors=(TwistFactor(subset=('s1', 's2'), sign=1),)))))"
+    )
