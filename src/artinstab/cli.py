@@ -290,10 +290,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of command alone, or of every
-    subcommand when command is None.  With one subparser the metavar still
-    lists every name, so the top-level usage reads the same."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, which ``main`` builds only for the calls that
+    ``_parse_well_formed`` refuses: help and malformed calls."""
     parser = argparse.ArgumentParser(
         prog="artinstab",
         description=(
@@ -301,10 +300,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "subgroups of Artin groups given by a Coxeter graph."
         ),
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, handler, arguments = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -349,10 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_well_formed(argv)
     if args is None:
-        # only the named subparser; -h, no command or an unknown one get them all
-        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     # Only input errors map to exit 2; any other exception is a bug and

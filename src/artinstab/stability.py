@@ -19,7 +19,9 @@ ribbon and parabolic-closure hypotheses of the containing group's family).
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, groupby
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classify import (
@@ -187,45 +189,6 @@ def _beyond(
     return bfs_closure(starts, successors, stop)
 
 
-# For each connected subset of X, as a mask: the connected subsets of X
-# with its ``orbit._part_key``, each as (its mask, the mask of it and its
-# neighbours); subsets with one key share one list.
-PartTable = dict[int, list[tuple[int, int]]]
-
-
-def _part_table(g: CoxeterGraph, inside: int) -> PartTable:
-    """The ``PartTable`` of the mask inside, its connected subsets grown
-    one neighbour at a time from its bits."""
-    table: PartTable = {}
-    by_key: dict[IrreducibleType | int, list[tuple[int, int]]] = {}
-    layer = {1 << i: 1 << i | g.nbrs[i] for i in _bits(inside)}
-    while layer:
-        grown: dict[int, int] = {}
-        for T, near in layer.items():
-            table[T] = parts = by_key.setdefault(_part_key(g, T), [])
-            parts.append((T, near))
-            for i in _bits(near & inside & ~T):
-                grown[T | 1 << i] = near | g.nbrs[i]
-        layer = grown
-    return table
-
-
-def _count(options: list[list[tuple[int, int]]], limit: int, near: int = 0, i: int = 0) -> int:
-    """The number of candidates, tuples whose part i is a mask of
-    options[i] (the ``PartTable`` list of a component of X1), pairwise
-    disjoint and not adjacent, or limit + 1 once it passes limit.  Every
-    tuple inside X that twists can reach from X1 is one.  Depth first from
-    part i, with near the mask of the parts chosen and their neighbours,
-    so that no more than limit + 1 candidates are walked."""
-    last, found = i == len(options) - 1, 0
-    for P, P_near in options[i]:
-        if not P & near:
-            found += 1 if last else _count(options, limit - found, near | P_near, i + 1)
-            if found > limit:
-                break
-    return found
-
-
 def tuple_orbit(
     g: CoxeterGraph,
     X1: Iterable[str],
@@ -372,31 +335,26 @@ def decide_stability(
         return not sum(T) & outside
 
     moves = Moves(g, inside)
-    table = _part_table(g, inside)
-    counts: dict[MaskTuple, tuple[int, int]] = {}  # sorted part keys -> (count, limit)
-    for X1, start in walk:
-        internal = _closure(moves, start, INSIDE)
-        if not any(moves[sum(T)][OUTSIDE] for T in internal):
-            continue  # no twist outside X applies to a tuple of I
-        key = tuple(sorted(table[P][0][0] for P in start))  # a mask for each part key
-        found, limit = counts.get(key, (0, -1))
-        if limit < found <= len(internal):  # found passed its limit: a bound too low to decide
-            limit = len(internal)
-            found = _count([table[P] for P in start], limit)
-            counts[key] = found, limit
-        if found == len(internal):
-            continue  # I holds every candidate, so no tuple inside X lies outside I
-        beyond = _beyond(moves, internal, within)
-        if not (beyond and within(next(reversed(beyond)))):
-            continue
-        external = _closure(moves, start, EVERYWHERE, lambda T: T not in internal and within(T))
-        T = next(reversed(external))
-        return Witness(
-            "permutation",
-            subset=g.names(X1),
-            tuple=tuple(g.names(P) for P in T),
-            word=word_to(external, T),
-        )
+    # twists keep part keys, so I holds only candidates: each subset of X with X1's keys, in
+    # every order that keeps them; when I holds all of them, no tuple beyond I lies inside X.
+    # Subsets with the same keys have the same size: the walk's sizes are counted one by one
+    for _, same in groupby(walk, lambda entry: entry[0].bit_count()):
+        group = [(X1, start, Counter(_part_key(g, P) for P in start)) for X1, start in same]
+        counts = Counter(frozenset(key.items()) for _, _, key in group)
+        for X1, start, key in group:
+            internal = _closure(moves, start, INSIDE)
+            candidates = counts[frozenset(key.items())] * prod(map(factorial, key.values()))
+            beyond = len(internal) < candidates and _beyond(moves, internal, within)
+            if not (beyond and within(next(reversed(beyond)))):
+                continue
+            external = _closure(moves, start, EVERYWHERE, lambda T: T not in internal and within(T))
+            T = next(reversed(external))
+            return Witness(
+                "permutation",
+                subset=g.names(X1),
+                tuple=tuple(g.names(P) for P in T),
+                word=word_to(external, T),
+            )
     return None
 
 

@@ -1,17 +1,16 @@
 """Help, usage and argument-error output of the CLI, byte for byte.
 
-``main`` hands every call that is not well formed to argparse, building
-only the subcommand parser that its first argument names, so a golden file
-pins stdout, stderr and the exit code of calls that argparse answers by
-itself: help at both levels, missing and unknown arguments, and invalid
-choices.  ``oracle-check`` needs no argument and
-runs in full.  Regenerate the golden with
-``PYTHONPATH=src python tests/test_cli_help.py --write``.
+``main`` hands every call that is not well formed to argparse, so a golden
+file pins stdout, stderr and the exit code of calls that argparse answers
+by itself: help at both levels, missing and unknown arguments, and invalid
+choices.  ``oracle-check`` needs no argument and runs in full.  Regenerate
+the golden with ``PYTHONPATH=src python tests/test_cli_help.py --write``.
 
 argparse wording and wrapping differ between Python versions, so the golden
 bytes are compared only on the version that wrote them.  On every version
-the output of ``main`` is also compared with a parser that has all eight
-subcommands built.
+the output of ``main`` is also compared with that of ``_build_parser``'s
+parser called directly, which would show a call that ``main`` answers
+without argparse differently from argparse.
 """
 
 from __future__ import annotations

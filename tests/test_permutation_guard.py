@@ -1,104 +1,120 @@
 """The guard of the permutation phase: ``decide_stability`` skips the growth
-beyond the internal closure I of a subset X1 when the candidate tuples,
-tuples of connected subsets of X with the keys of X1's components,
-pairwise disjoint and not adjacent, are no more than the tuples of I.
+beyond the internal closure I of a subset X1 when I holds every candidate,
+every tuple of pairwise disjoint, non-adjacent connected subsets of X with
+the part keys of X1's tuple, position by position.
 
 Twists carry a tuple onto one with the same part keys, so I holds only
-candidates, and when the candidates are I, the closure under all twists
-adds no tuple inside X.  ``_count`` counts the candidates up to a limit,
-and the decision keeps one count per multiset of part keys.  All of it is
-checked on every subset X1 of every subset X of small catalog and random
-graphs, against a plain list of the candidates and a full ``_beyond``."""
+candidates, and when it holds them all, the closure under all twists adds
+no tuple inside X.  The decision counts the candidates from the part keys
+of the subsets of X of X1's size.  Checked on every subset X1 of every
+subset X of small catalog and random graphs, against a plain list of the
+candidates, built part by part, and a full ``_beyond``."""
 
 import random
 from itertools import combinations
 
 from artinstab import decide_stability, standard_graph
 from artinstab import stability
-from artinstab.stability import (
-    INSIDE,
-    OUTSIDE,
-    Moves,
-    _beyond,
-    _closure,
-    _count,
-    _part_table,
-    _subsets_descending,
-)
+from artinstab.orbit import _part_key
+from artinstab.stability import INSIDE, Moves, _beyond, _closure, _subsets_descending
 
 from conftest import SHAPES, random_graph
 
 
-def candidates(options, near=0) -> list[tuple[int, ...]]:
-    """The tuples whose part i is a mask of options[i], pairwise disjoint
-    and not adjacent to near or to each other: the reference for
-    ``_count``."""
-    if not options:
+def candidates(g, connected: list[int], start: tuple[int, ...], used: int = 0) -> list[tuple]:
+    """The tuples of pairwise disjoint, non-adjacent masks of connected,
+    none meeting used, whose part keys are those of start, position by
+    position."""
+    if not start:
         return [()]
-    return [
-        (P, *rest)
-        for P, P_near in options[0]
-        if not P & near
-        for rest in candidates(options[1:], near | P_near)
-    ]
+    key = _part_key(g, start[0])
+    out = []
+    for P in connected:
+        if not P & used and _part_key(g, P) == key:
+            near = P
+            for i in range(len(g.generators)):
+                if P >> i & 1:
+                    near |= g.nbrs[i]
+            out += [(P, *rest) for rest in candidates(g, connected, start[1:], used | near)]
+    return out
 
 
-def check_guard(g, rng, searched) -> tuple[int, int]:
+def check_guard(g, searched) -> tuple[int, int]:
     """(subsets X1 checked, subsets the guard lets pass) over every X;
-    searched is filled with the start of each X1 whose internal closure
+    searched is filled with the mask of each X1 whose internal closure
     ``decide_stability`` hands to ``_beyond``."""
     checked = passed = 0
     for r in range(1, len(g.generators) + 1):
         for X in combinations(g.generators, r):
             inside = g.mask(X)
             bits = [1 << g.index[v] for v in X]
-            table = _part_table(g, inside)
+            connected = [U for U in _subsets_descending(bits) if len(g.components(U)) == 1]
             moves = Moves(g, inside)
-            expected = []  # the starts the decision must search beyond, in walk order
+            expected = []  # the subsets the decision must search beyond, in walk order
+            failing = []  # the subsets the plain check fails, in walk order
             for X1 in _subsets_descending(bits):
                 start = g.components(X1)
                 internal = _closure(moves, start, INSIDE)
-                options = [table[P] for P in start]
-                n = len(found := candidates(options))
+                found = candidates(g, connected, start)
                 assert internal.keys() <= set(found), (g, X, g.names(X1))
-                for limit in range(n + 2):
-                    assert _count(options, limit) == min(n, limit + 1), (g, X, X1, limit)
-                assert _count(options[::-1], n) == _count(rng.sample(options, len(options)), n) == n
+                grown = [T for T in _beyond(moves, internal) if not sum(T) & ~inside]
                 checked += 1
-                if n == len(internal):  # the guard lets X1 pass
+                if grown:
+                    failing.append(X1)
+                if len(found) == len(internal):  # the guard lets X1 pass
                     passed += 1
-                    grown = [T for T in _beyond(moves, internal) if not sum(T) & ~inside]
                     assert grown == [], (g, X, g.names(X1), grown)
-                elif any(moves[sum(T)][OUTSIDE] for T in internal):
-                    expected.append(start)
+                else:
+                    expected.append(X1)
             searched.clear()
             w = decide_stability(g, X)
-            if w is not None and w.kind == "permutation":
-                expected = expected[: expected.index(g.components(g.mask(w.subset))) + 1]
-            elif w is not None:  # a D witness, found before the permutation phase
+            if w is None:
+                assert failing == [], (g, X)
+            elif w.kind == "permutation":
+                assert failing[0] == g.mask(w.subset), (g, X, w)
+                expected = expected[: expected.index(failing[0]) + 1]
+            else:  # a D witness, found before the permutation phase
                 expected = []
             assert searched == expected, (g, X, w)
     return checked, passed
 
 
-def test_the_guard_passes_only_subsets_with_nothing_to_find(monkeypatch):
+def spy_on_beyond(monkeypatch) -> list[int]:
+    """The union masks of the starts of the internal closures that
+    ``decide_stability`` hands to ``_beyond``, in call order."""
     searched = []
 
     def spy(moves, internal, stop=None):
-        searched.append(next(iter(internal)))
+        searched.append(sum(next(iter(internal))))
         return _beyond(moves, internal, stop)
 
     monkeypatch.setattr(stability, "_beyond", spy)
+    return searched
+
+
+def test_the_guard_passes_only_subsets_with_nothing_to_find(monkeypatch):
+    searched = spy_on_beyond(monkeypatch)
     rng = random.Random(0x6A4D)
     graphs = [standard_graph(*shape) for shape in SHAPES]
     graphs += [random_graph(rng, max_vertices=6, min_vertices=3) for _ in range(60)]
     checked = passed = 0
     for g in graphs:
-        c, p = check_guard(g, rng, searched)
+        c, p = check_guard(g, searched)
         checked += c
         passed += p
     # most subsets pass, and some do not
     assert checked > passed > checked // 2, (checked, passed)
+
+
+def test_a_small_x_in_a_large_graph_searches_nothing_beyond_i(monkeypatch):
+    # X of rank 6 to 8 in a graph of rank 40: each subset's I holds all its
+    # candidates, so no subset searches the tuples outside X, which for
+    # {s1, s3, s5, s7} in A40 alone are about 1.6 million
+    searched = spy_on_beyond(monkeypatch)
+    for family, first, last in (("A", 1, 7), ("A", 10, 17), ("D", 10, 15), ("B", 20, 26)):
+        X = [f"s{i}" for i in range(first, last + 1)]
+        assert decide_stability(standard_graph(family, 40), X) is None, (family, X)
+        assert searched == [], (family, X)
 
 
 def test_a_decision_adds_no_attribute_to_the_graph():
@@ -113,35 +129,21 @@ def test_a_decision_adds_no_attribute_to_the_graph():
         assert set(vars(g)) == before, shape
 
 
-def test_the_guard_stops_at_the_first_candidate_outside_i(monkeypatch):
-    # X, the k odd singletons of A_2k, has k! candidates for X1 = X, and I
-    # is X1's tuple alone; the second candidate lies outside I, and the
-    # twist at s10 swaps s9 and s11 for the witness.  The options the
-    # count reads are counted: about k * k / 2 before the first tuple
-    steps = []
-
-    class Counted(list):
-        def __iter__(self):
-            for option in super().__iter__():
-                steps.append(option)
-                yield option
-
-    def counted_table(g, inside):
-        shared = {}
-        return {
-            T: shared.setdefault(id(parts), Counted(parts))
-            for T, parts in _part_table(g, inside).items()
-        }
-
-    monkeypatch.setattr(stability, "_part_table", counted_table)
+def test_the_odd_singletons_of_a_2k_fail_at_x_itself(monkeypatch):
+    # X, the k odd singletons of A_2k, is the first subset of the walk; it
+    # has k! candidates, the orders of its parts, and its I is X's tuple
+    # alone, so the search beyond I runs once; the twist at s10 swaps s9
+    # and s11 for the witness
+    searched = spy_on_beyond(monkeypatch)
     for k in (10, 12):
-        steps.clear()
+        searched.clear()
         X = sorted(f"s{i}" for i in range(1, 2 * k, 2))
-        w = decide_stability(standard_graph("A", 2 * k), X)
+        g = standard_graph("A", 2 * k)
+        w = decide_stability(g, X)
+        assert searched == [g.mask(X)]
         assert w.to_json_dict() == {
             "kind": "permutation",
             "subset": X,
             "tuple": [[{"s9": "s11", "s11": "s9"}.get(v, v)] for v in X],
             "word": [{"delta_of": ["s10", "s11", "s9"], "sign": 1}],
         }
-        assert len(steps) <= k * k, (k, len(steps))
