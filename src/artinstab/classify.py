@@ -14,7 +14,7 @@ twists all read that memo.  The diagrams themselves are written once, in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import (
     INFINITY,
@@ -189,47 +189,32 @@ class GroupFamilyReport(NamedTuple):
     justification: str
 
     def to_json_dict(self) -> dict:
-        factors = None
-        if self.free_factors is not None:
-            factors = [
-                {"generators": list(gens), "types": list(types)}
-                for gens, types in self.free_factors
-            ]
-        return {
-            "spherical": self.spherical,
-            "fc_type": self.fc_type,
-            "free_product_of_spherical": self.free_product_of_spherical,
-            "free_factors": factors,
-            "large": self.large,
-            "two_dimensional": self.two_dimensional,
-            "martin_2dim_condition": self.martin_2dim_condition,
-            "affine_family": self.affine_family,
-            "applicability": self.applicability,
-            "justification": self.justification,
-        }
+        factors = None if self.free_factors is None else [
+            {"generators": list(gens), "types": list(types)} for gens, types in self.free_factors
+        ]
+        return {**self._asdict(), "free_factors": factors}
 
 
-def _maximal_cliques(vertices: int, nbrs: list[int]) -> Iterator[int]:
-    """Yield each maximal clique mask once: Bron–Kerbosch with Tomita pivoting.
-
-    A branch (r, p, x) grows clique r from candidates p, with x the vertices
-    already covered.  The pivot u in p | x with the most neighbours in p
-    leaves only p - N(u) to branch on, which bounds the work by O(3^{n/3})
-    (Tomita, Tanaka and Takahashi, Theor. Comput. Sci. 363, 2006).
-    """
-    stack = [(0, vertices, 0)]
+def _fc_type(g: CoxeterGraph, fin: list[int]) -> bool:
+    """Whether every clique of the finite-label masks fin is spherical.  A
+    clique is spherical when its components are, and a set holding a
+    non-spherical connected set is not spherical, so it suffices that each
+    maximal connected clique is.  They are grown depth first from single
+    vertices, one neighbour at a time: an entry is a clique C, the mask
+    near of its neighbours and the mask common of the vertices joined to
+    all of C by finite labels."""
+    seen: set[int] = set()
+    stack = [(1 << i, g.nbrs[i], fin[i]) for i in range(len(fin))]
     while stack:
-        r, p, x = stack.pop()
-        if not p:
-            if not x:
-                yield r
-            continue
-        u = min(_bits(p | x), key=lambda w: (-(p & nbrs[w]).bit_count(), w))
-        for v in _bits(p & ~nbrs[u]):
-            bit = 1 << v
-            stack.append((r | bit, p & nbrs[v], x & nbrs[v]))
-            p &= ~bit
-            x |= bit
+        C, near, common = stack.pop()
+        grow = near & common & ~C
+        if not grow and g.typed(C) is None:
+            return False
+        for j in _bits(grow):
+            if (D := C | 1 << j) not in seen:
+                seen.add(D)
+                stack.append((D, near | g.nbrs[j], common & fin[j]))
+    return True
 
 
 def _two_dimensional(fin: list[int], finite: list[dict[int, int]]) -> bool:
@@ -296,9 +281,7 @@ def classify_group(g: CoxeterGraph) -> GroupFamilyReport:
         return out
 
     spherical = decomposition(full) is not None
-    fc_type = all(
-        decomposition(clique) is not None for clique in _maximal_cliques(full, fin)
-    )
+    fc_type = spherical or _fc_type(g, fin)
 
     factor_masks = g.components(full, fin)
     factor_decomps = [decomposition(f) for f in factor_masks]

@@ -20,9 +20,9 @@ ribbon and parabolic-closure hypotheses of the containing group's family).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, groupby
+from itertools import combinations
 from math import factorial, prod
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .classify import (
     GroupFamilyReport,
@@ -87,14 +87,9 @@ class StabilityReport(NamedTuple):
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "semantics": self.semantics,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "family": self.family.to_json_dict(),
-            "flags": list(self.flags),
-            "reason": self.reason,
-        }
+        witness = None if self.witness is None else self.witness.to_json_dict()
+        return {**self._asdict(), "witness": witness, "family": self.family.to_json_dict(),
+                "flags": list(self.flags)}
 
 
 def initial_tuple(g: CoxeterGraph, X1: Iterable[str]) -> ComponentTuple:
@@ -284,14 +279,6 @@ def check_d4_exception(
     return _check_site(g, X, Y, Yp, "d4_exception", "D4")
 
 
-def _subsets_descending(bits: list[int]) -> Iterator[int]:
-    """Masks of the non-empty subsets of the given bits, largest first, in
-    the order of ``combinations``."""
-    for size in range(len(bits), 0, -1):
-        for combo in combinations(bits, size):
-            yield sum(combo)
-
-
 def decide_stability(
     g: CoxeterGraph, X: Iterable[str], max_subset_size: int = 16
 ) -> Witness | None:
@@ -314,20 +301,15 @@ def decide_stability(
     bits = [1 << g.index[v] for v in Xs]
     # every D_n (n >= 4) has a vertex with 3 neighbours in it, all in X
     branched = any((g.nbrs[i] & inside).bit_count() >= 3 for i in _bits(inside))
-    walk: list[tuple[int, MaskTuple]] = []
-    d4_sites: list[tuple[int, TypedComponent]] = []
-    for T in _subsets_descending(bits):
-        walk.append((T, comps := g.components(T)))
-        for comp in comps if branched else ():
-            tc = g.typed(comp)
-            kind = tc and _d_kind(tc.type)
-            if kind == "d4_exception":  # after every D_2k site
-                d4_sites.append((T, tc))
-            elif kind and (witness := _find_d_obstruction(g, inside, T, tc)):
-                return witness
-    for T, tc in d4_sites:
-        if witness := _find_d_obstruction(g, inside, T, tc):
-            return witness
+    walk = [[(T, g.components(T)) for T in map(sum, combinations(bits, k))]
+            for k in range(len(bits), 0, -1)]
+    for kind in ("d2k_exception", "d4_exception") if branched else ():
+        for level in walk:
+            for T, comps in level:
+                for tc in map(g.typed, comps):
+                    if tc and _d_kind(tc.type) == kind and (
+                            witness := _find_d_obstruction(g, inside, T, tc)):
+                        return witness
 
     outside = ((1 << len(g.generators)) - 1) & ~inside
 
@@ -337,13 +319,13 @@ def decide_stability(
     moves = Moves(g, inside)
     # twists keep part keys, so I holds only candidates: each subset of X with X1's keys, in
     # every order that keeps them; when I holds all of them, no tuple beyond I lies inside X.
-    # Subsets with the same keys have the same size: the walk's sizes are counted one by one
-    for _, same in groupby(walk, lambda entry: entry[0].bit_count()):
-        group = [(X1, start, Counter(_part_key(g, P) for P in start)) for X1, start in same]
-        counts = Counter(frozenset(key.items()) for _, _, key in group)
-        for X1, start, key in group:
+    # Subsets with the same keys have the same size, so they are counted one size at a time
+    for level in walk:
+        keys = [frozenset(Counter(_part_key(g, P) for P in start).items()) for _, start in level]
+        counts = Counter(keys)
+        for (X1, start), key in zip(level, keys):
             internal = _closure(moves, start, INSIDE)
-            candidates = counts[frozenset(key.items())] * prod(map(factorial, key.values()))
+            candidates = counts[key] * prod(factorial(m) for _, m in key)
             beyond = len(internal) < candidates and _beyond(moves, internal, within)
             if not (beyond and within(next(reversed(beyond)))):
                 continue

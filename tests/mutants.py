@@ -64,10 +64,10 @@ MUTANTS = [
         "killed",
     ),
     (
-        "D_4 sites returned as the walk meets them, before later D_2k sites",
+        "D_4 sites checked in the pass before the D_2k sites",
         "src/artinstab/stability.py",
-        'if kind == "d4_exception":',
-        "if False:",
+        'for kind in ("d2k_exception", "d4_exception")',
+        'for kind in ("d4_exception", "d2k_exception")',
         "killed",
     ),
     (
@@ -90,6 +90,20 @@ MUTANTS = [
         "        if not (isinstance(gens, tuple) and gens and all(map(_valid_name, gens))\n"
         "                and all(map(str.__lt__, gens, gens[1:]))):\n",
         "        if False:\n",
+        "killed",
+    ),
+    (
+        "a grown clique not narrowed to the vertices joined to the new one by finite labels",
+        "src/artinstab/classify.py",
+        "common & fin[j]",
+        "common",
+        "killed",
+    ),
+    (
+        "no maximal connected clique checked for sphericity",
+        "src/artinstab/classify.py",
+        "if not grow and",
+        "if False and",
         "killed",
     ),
     (
@@ -166,14 +180,14 @@ MUTANTS = [
     (
         "the candidates counted without the orders of parts with one key",
         "src/artinstab/stability.py",
-        "candidates = counts[frozenset(key.items())] * prod(map(factorial, key.values()))",
-        "candidates = counts[frozenset(key.items())]",
+        "candidates = counts[key] * prod(factorial(m) for _, m in key)",
+        "candidates = counts[key]",
         "killed",
     ),
     (
         "the candidates counted on X1's union alone",
         "src/artinstab/stability.py",
-        "candidates = counts[frozenset(key.items())] *",
+        "candidates = counts[key] *",
         "candidates = 1 *",
         "killed",
     ),
@@ -187,11 +201,11 @@ MUTANTS = [
     (
         "the part keys of every subset of X counted at once",
         "src/artinstab/stability.py",
-        "groupby(walk, lambda entry: entry[0].bit_count())",
-        "groupby(walk, lambda entry: 0)",
+        "counts = Counter(keys)",
+        "counts = Counter(frozenset(Counter(_part_key(g, P) for P in start).items())\n"
+        "                         for level in walk for _, start in level)",
         "equivalent: subsets with the same part keys have the same size, so"
-        " the counts of one size are the counts of all; only the cost of a"
-        " decision that fails before the smaller sizes changes",
+        " the counts of one size are the counts of all; only the cost changes",
     ),
     (
         "move back not skipped in the orbit search",

@@ -11,12 +11,12 @@ from artinstab import (
     IrreducibleType,
     classify_group,
     components,
+    decide_with_applicability,
     is_spherical,
     recognize_component,
     standard_graph,
 )
 
-from artinstab.classify import _maximal_cliques
 from conftest import build_graph, rename_graph
 from reference import recognize, twistable
 
@@ -563,44 +563,20 @@ def test_spherical_implies_fc_on_samples():
 # ------------------------------------------------------------ clique search
 
 
-def _random_nbrs(rng, n):
-    names = tuple(f"v{i}" for i in range(n))
-    density = rng.random()
-    nbrs = {v: set() for v in names}
-    for a, b in combinations(names, 2):
-        if rng.random() < density:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    return names, nbrs
-
-
-def test_maximal_cliques_agree_with_networkx():
-    rng = random.Random(20261018)
-    for _ in range(400):
-        names, nbrs = _random_nbrs(rng, rng.randint(1, 12))
-        h = nx.Graph()
-        h.add_nodes_from(names)
-        h.add_edges_from((a, b) for a in names for b in nbrs[a])
-        bit = {v: 1 << i for i, v in enumerate(names)}
-        masks = [sum(bit[w] for w in nbrs[v]) for v in names]
-        got = [
-            frozenset(v for v in names if clique & bit[v])
-            for clique in _maximal_cliques((1 << len(names)) - 1, masks)
-        ]
-        assert len(got) == len(set(got))  # each clique exactly once
-        assert set(got) == {frozenset(c) for c in nx.find_cliques(h)}
-
-
-def _brute_force_fc_type(g):
-    """Every clique of the finite-label graph is spherical: components by a
-    plain graph search, each matched against the catalog by VF2."""
+def _finite_graph(g):
     finite = nx.Graph()
     finite.add_nodes_from(g.generators)
     finite.add_edges_from(
         (s, t) for s, t in combinations(g.generators, 2) if g.label(s, t) != INFINITY
     )
+    return finite
+
+
+def _brute_force_fc_type(g):
+    """Every clique of the finite-label graph is spherical: components by a
+    plain graph search, each matched against the catalog by VF2."""
     known: dict[frozenset, bool] = {}
-    for clique in nx.enumerate_all_cliques(finite):
+    for clique in nx.enumerate_all_cliques(_finite_graph(g)):
         for comp in nx.connected_components(_as_nx(g, tuple(clique))):
             key = frozenset(comp)
             if key not in known:
@@ -610,23 +586,72 @@ def _brute_force_fc_type(g):
     return True
 
 
+def _largest_connected_clique(g):
+    """The most vertices of a clique of the finite-label graph that is
+    connected by labels m >= 3: a component of a maximal clique."""
+    return max(
+        len(comp)
+        for clique in nx.find_cliques(_finite_graph(g))
+        for comp in nx.connected_components(_as_nx(g, tuple(clique)))
+    )
+
+
 def test_fc_type_agrees_with_brute_force_on_7_to_10_vertices():
-    rng = random.Random(710)
-    outcomes = []
-    for _ in range(200):
-        n = rng.randint(7, 10)
-        names = [f"s{i}" for i in range(n)]
-        # a per-graph share of commuting pairs, so both outcomes occur
-        commuting = rng.uniform(0.6, 0.95)
-        rels = []
-        for a, b in combinations(names, 2):
-            if rng.random() >= commuting:
-                rels.append((a, b, rng.choice((3, 4, 5, 6, INFINITY, INFINITY))))
-        g = build_graph(names, *rels)
-        expected = _brute_force_fc_type(g)
-        assert classify_group(g).fc_type is expected
-        outcomes.append(expected)
-    assert 30 <= sum(outcomes) <= len(outcomes) - 30
+    # the first sample draws a per-graph share of commuting pairs, so both
+    # outcomes occur; the second has few commuting pairs and few infinite
+    # labels, so that maximal connected cliques of 4 or more vertices occur,
+    # spherical ones among them
+    samples = [
+        (710, (0.6, 0.95), (3, 4, 5, 6, INFINITY, INFINITY), 30, 0),
+        (4711, (0.55, 0.75), (3, 3, 3, 3, 4, INFINITY), 10, 10),
+    ]
+    for seed, commuting, labels, each, large in samples:
+        rng = random.Random(seed)
+        outcomes = []
+        for _ in range(200):
+            n = rng.randint(7, 10)
+            names = [f"s{i}" for i in range(n)]
+            share = rng.uniform(*commuting)
+            rels = []
+            for a, b in combinations(names, 2):
+                if rng.random() >= share:
+                    rels.append((a, b, rng.choice(labels)))
+            g = build_graph(names, *rels)
+            expected = _brute_force_fc_type(g)
+            assert classify_group(g).fc_type is expected, (seed, g)
+            outcomes.append((expected, _largest_connected_clique(g)))
+        fc = [size for expected, size in outcomes if expected]
+        assert each <= len(fc) <= len(outcomes) - each, seed
+        assert sum(size >= 4 for size in fc) >= large, seed
+
+
+def test_fc_type_of_45_generators_in_infinity_joined_triples():
+    # 3^15 maximal cliques of the finite-label graph, but no two generators
+    # joined by a finite label m >= 3: every connected clique is one vertex
+    names = [f"s{i:02d}" for i in range(45)]
+    g = build_graph(names, *(
+        (names[a], names[b], INFINITY)
+        for i in range(0, 45, 3) for a, b in combinations(range(i, i + 3), 2)
+    ))
+    r = classify_group(g)
+    assert (r.fc_type, r.applicability) == (True, "QuasiStability")
+    report = decide_with_applicability(g, ["s00", "s03"])
+    assert (report.verdict, report.semantics) == ("stable", "stability")
+
+
+def test_fc_type_recognizes_each_maximal_connected_clique_once():
+    # k layers of two generators joined by infinity, each joined by m = 3
+    # to both of the next layer: the 2^k maximal connected cliques take one
+    # generator per layer, each an A_k; the whole graph is the one other
+    # set recognized
+    k = 8
+    names = [f"v{i}{side}" for i in range(k) for side in "ab"]
+    rels = [(f"v{i}a", f"v{i}b", INFINITY) for i in range(k)]
+    rels += [(f"v{i}{s}", f"v{i + 1}{t}", 3) for i in range(k - 1) for s in "ab" for t in "ab"]
+    g = build_graph(names, *rels)
+    assert classify_group(g).fc_type
+    assert len(g.types) == 2**k + 1
+    assert sum(tc is not None and str(tc.type) == f"A{k}" for tc in g.types.values()) == 2**k
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,16 @@ from itertools import combinations
 from artinstab import decide_stability, standard_graph
 from artinstab import stability
 from artinstab.orbit import _part_key
-from artinstab.stability import INSIDE, Moves, _beyond, _closure, _subsets_descending
+from artinstab.stability import INSIDE, Moves, _beyond, _closure
 
 from conftest import SHAPES, random_graph
+
+
+def walk(bits: list[int]) -> list[int]:
+    """The masks of the non-empty subsets of the given bits in the order
+    of the decision's walk: largest first, in the order of
+    ``combinations``."""
+    return [sum(combo) for size in range(len(bits), 0, -1) for combo in combinations(bits, size)]
 
 
 def candidates(g, connected: list[int], start: tuple[int, ...], used: int = 0) -> list[tuple]:
@@ -48,11 +55,11 @@ def check_guard(g, searched) -> tuple[int, int]:
         for X in combinations(g.generators, r):
             inside = g.mask(X)
             bits = [1 << g.index[v] for v in X]
-            connected = [U for U in _subsets_descending(bits) if len(g.components(U)) == 1]
+            connected = [U for U in walk(bits) if len(g.components(U)) == 1]
             moves = Moves(g, inside)
             expected = []  # the subsets the decision must search beyond, in walk order
             failing = []  # the subsets the plain check fails, in walk order
-            for X1 in _subsets_descending(bits):
+            for X1 in walk(bits):
                 start = g.components(X1)
                 internal = _closure(moves, start, INSIDE)
                 found = candidates(g, connected, start)
