@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import factorial, prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classify import (
     GroupFamilyReport,
@@ -286,7 +286,10 @@ def decide_stability(
 
     Returns the witness of the first obstruction found (D_2k tails first,
     then D_4 leaves, then permutations, each over the subsets of X largest
-    first), or None when there is none and the subgroup is stable.  Raises
+    first), or None when there is none and the subgroup is stable.  When X
+    meets several of the graph's direct and free factors, its part in each
+    is decided alone first, and X is stable when every part is; when one is
+    not, the walk over all of X finds the witness.  Raises
     SubsetSizeLimitError when X has more than max_subset_size generators,
     and ValueError when max_subset_size is below 1.  The README's
     paragraph on conjugacy stability describes how the search runs.
@@ -296,9 +299,30 @@ def decide_stability(
     Xs = g.subset(X)
     if len(Xs) > max_subset_size:
         raise SubsetSizeLimitError(len(Xs), max_subset_size)
-
     inside = g.mask(Xs)
-    bits = [1 << g.index[v] for v in Xs]
+    fin = [~inf for inf in g.inf]  # the finite-label masks (m = 2 included), read within a mask
+    parts = [F & inside for F in _factors(g, (1 << len(g.generators)) - 1, fin) if F & inside]
+    if len(parts) > 1 and all(_decide(g, P) is None for P in parts):
+        return None
+    return _decide(g, inside)
+
+
+def _factors(g: CoxeterGraph, M: int, fin: list[int]) -> Iterator[int]:
+    """The factors of the graph within M: each direct factor (component) of
+    M that is one free factor (component of the finite-label masks fin),
+    and the factors within each free factor of the others."""
+    for D in g.components(M):
+        free = g.components(D, fin)
+        if len(free) == 1:
+            yield D
+        else:
+            for F in free:
+                yield from _factors(g, F, fin)
+
+
+def _decide(g: CoxeterGraph, inside: int) -> Witness | None:
+    """The decision on the X of mask inside, by the walk over its subsets."""
+    bits = [1 << i for i in _bits(inside)]
     # every D_n (n >= 4) has a vertex with 3 neighbours in it, all in X
     branched = any((g.nbrs[i] & inside).bit_count() >= 3 for i in _bits(inside))
     walk = [[(T, g.components(T)) for T in map(sum, combinations(bits, k))]

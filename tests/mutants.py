@@ -199,6 +199,27 @@ MUTANTS = [
         "killed",
     ),
     (
+        "X split by its own components instead of the graph's factors",
+        "src/artinstab/stability.py",
+        "_factors(g, (1 << len(g.generators)) - 1, fin)",
+        "_factors(g, inside, fin)",
+        "killed",
+    ),
+    (
+        "a direct factor not split into its free factors",
+        "src/artinstab/stability.py",
+        "free = g.components(D, fin)",
+        "free = (D,)",
+        "killed",
+    ),
+    (
+        "X taken as stable when any one of its parts is",
+        "src/artinstab/stability.py",
+        "all(_decide(g, P) is None for P in parts)",
+        "any(_decide(g, P) is None for P in parts)",
+        "killed",
+    ),
+    (
         "the part keys of every subset of X counted at once",
         "src/artinstab/stability.py",
         "counts = Counter(keys)",

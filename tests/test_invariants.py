@@ -10,7 +10,9 @@ never computes.
   its part in each factor is.
 
 The verdict is whether ``decide_stability`` finds a witness; the witnesses
-themselves may differ.
+themselves may differ.  The decision itself splits a product along its
+factors, so on products the last test also compares its witness JSON with
+``tests/reference.py``, whose decision walks every subset of X unsplit.
 """
 
 import random
@@ -19,6 +21,7 @@ from itertools import combinations, permutations
 from artinstab import INFINITY, CoxeterGraph, decide_stability, orbit, standard_graph
 
 from conftest import SHAPES
+from reference import Reference, subsets_descending
 
 # every label the catalog knows, 6 (G_2) and the odd 7 included, which
 # ``conftest.random_graph`` never draws; weighted toward 2 and 3 as there
@@ -122,3 +125,25 @@ def test_a_direct_or_free_product_decides_factor_by_factor():
                 checked += 1
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
     assert checked > 4000, checked
+
+
+def test_a_product_reports_the_witness_of_the_walk_over_all_of_x():
+    # the decision splits X along the graph's factors; the reference walks
+    # every subset of X, so a product that fails must still get its witness
+    pairs = [(standard_graph("A", 3), standard_graph("D", 5)),
+             (standard_graph("A", 4), standard_graph("B", 3)),
+             (standard_graph("D", 7), standard_graph("A", 1)),
+             (standard_graph("A", 3), standard_graph("A", 3))]
+    kinds = set()  # (cross, whether X meets both factors, verdict or witness kind)
+    for g, h in pairs:
+        for cross in (2, INFINITY):
+            union = joined(g, h, cross)
+            ref = Reference(union)
+            for X in subsets_descending(union.generators):
+                w = decide_stability(union, X)
+                got = None if w is None else w.to_json_dict()
+                assert got == ref.decision(X), (g, h, cross, X)
+                both = {v[0] for v in X} == {"p", "q"}
+                kinds.add((cross, both, "stable" if got is None else got["kind"]))
+    assert {(cross, True, kind) for cross in (2, INFINITY)
+            for kind in ("stable", "permutation", "d2k_exception", "d4_exception")} <= kinds

@@ -7,16 +7,18 @@ Twists carry a tuple onto one with the same part keys, so I holds only
 candidates, and when it holds them all, the closure under all twists adds
 no tuple inside X.  The decision counts the candidates from the part keys
 of the subsets of X of X1's size.  Checked on every subset X1 of every
-subset X of small catalog and random graphs, against a plain list of the
-candidates, built part by part, and a full ``_beyond``."""
+subset X of small catalog, random and product graphs, against a plain list
+of the candidates, built part by part, and a full ``_beyond``.  When X meets
+several of the graph's direct and free factors, the walks over its parts
+run before the walk over X, and stop at the first part that fails."""
 
 import random
 from itertools import combinations
 
-from artinstab import decide_stability, standard_graph
+from artinstab import INFINITY, CoxeterGraph, decide_stability, standard_graph
 from artinstab import stability
 from artinstab.orbit import _part_key
-from artinstab.stability import INSIDE, Moves, _beyond, _closure
+from artinstab.stability import INSIDE, Moves, _beyond, _closure, _decide
 
 from conftest import SHAPES, random_graph
 
@@ -46,18 +48,51 @@ def candidates(g, connected: list[int], start: tuple[int, ...], used: int = 0) -
     return out
 
 
+def factors(g, M: int) -> list[int]:
+    """The graph's factors within the mask M, in the order the decision
+    splits them: each component of M that is one free factor, a component
+    of the pairs with finite labels, and the factors within each free factor
+    of the others."""
+    out = []
+    for D in plain_components(g, M, lambda m: m != 2):
+        free = plain_components(g, D, lambda m: m != INFINITY)
+        out += [D] if len(free) == 1 else [F for part in free for F in factors(g, part)]
+    return out
+
+
+def plain_components(g, M: int, joined) -> list[int]:
+    """The components of M, ordered by their first generator, two
+    generators being joined when joined holds for their label."""
+    left = [v for v in g.generators if M >> g.index[v] & 1]
+    out = []
+    while left:
+        comp, grow = {left[0]}, [left[0]]
+        while grow:
+            s = grow.pop()
+            near = [t for t in left if t not in comp and joined(g.label(s, t))]
+            comp.update(near)
+            grow += near
+        out.append(g.mask(comp))
+        left = [v for v in left if v not in comp]
+    return out
+
+
 def check_guard(g, searched) -> tuple[int, int]:
     """(subsets X1 checked, subsets the guard lets pass) over every X;
     searched is filled with the mask of each X1 whose internal closure
-    ``decide_stability`` hands to ``_beyond``."""
+    ``decide_stability`` hands to ``_beyond``.  The walk over X searches
+    the subsets the guard does not pass, up to the first failing one; when
+    X meets several of the graph's factors, the walk over each part runs
+    first, up to the first part that fails, and then the walk over X."""
     checked = passed = 0
+    walks = {}  # the mask of X -> the walk's searched subsets and witness
     for r in range(1, len(g.generators) + 1):
         for X in combinations(g.generators, r):
             inside = g.mask(X)
             bits = [1 << g.index[v] for v in X]
             connected = [U for U in walk(bits) if len(g.components(U)) == 1]
             moves = Moves(g, inside)
-            expected = []  # the subsets the decision must search beyond, in walk order
+            expected = []  # the subsets the walk must search beyond, in walk order
             failing = []  # the subsets the plain check fails, in walk order
             for X1 in walk(bits):
                 start = g.components(X1)
@@ -74,7 +109,7 @@ def check_guard(g, searched) -> tuple[int, int]:
                 else:
                     expected.append(X1)
             searched.clear()
-            w = decide_stability(g, X)
+            w = _decide(g, inside)
             if w is None:
                 assert failing == [], (g, X)
             elif w.kind == "permutation":
@@ -82,6 +117,20 @@ def check_guard(g, searched) -> tuple[int, int]:
                 expected = expected[: expected.index(failing[0]) + 1]
             else:  # a D witness, found before the permutation phase
                 expected = []
+            assert searched == expected, (g, X, w)
+            walks[inside] = expected, w
+            parts = [F & inside for F in factors(g, (1 << len(g.generators)) - 1) if F & inside]
+            if len(parts) > 1:
+                expected = []
+                for P in parts:  # each a smaller X, walked before
+                    expected += walks[P][0]
+                    if walks[P][1] is not None:
+                        expected += walks[inside][0]
+                        break
+                else:  # every part is stable, and so is X
+                    assert w is None, (g, X, w)
+            searched.clear()
+            assert decide_stability(g, X) == w
             assert searched == expected, (g, X, w)
     return checked, passed
 
@@ -104,6 +153,10 @@ def test_the_guard_passes_only_subsets_with_nothing_to_find(monkeypatch):
     rng = random.Random(0x6A4D)
     graphs = [standard_graph(*shape) for shape in SHAPES]
     graphs += [random_graph(rng, max_vertices=6, min_vertices=3) for _ in range(60)]
+    # A3 times A2, and their free product: {a, c} fails in A3
+    for cross in ((), [(s, t, INFINITY) for s in "abc" for t in "de"]):
+        graphs.append(CoxeterGraph.build("abcde", [("a", "b", 3), ("b", "c", 3), ("d", "e", 3),
+                                                   *cross]))
     checked = passed = 0
     for g in graphs:
         c, p = check_guard(g, searched)

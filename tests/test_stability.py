@@ -381,6 +381,10 @@ def test_decide_respects_subset_cap():
     e7 = standard_graph("E", 7)
     with pytest.raises(SubsetSizeLimitError):
         decide_stability(e7, e7.generators, max_subset_size=3)
+    # the cap is on all of X, also when its part in each factor fits it
+    a3a3 = build_graph("abcdef", ("a", "b", 3), ("b", "c", 3), ("d", "e", 3), ("e", "f", 3))
+    with pytest.raises(SubsetSizeLimitError, match="6 generators, above the cap of 4"):
+        decide_stability(a3a3, a3a3.generators, max_subset_size=4)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
