@@ -114,26 +114,27 @@ MaskTuple = tuple[int, ...]
 
 class Moves(dict):
     """Union masks -> the twist steps of the union as (images, factor)
-    pairs, in three lists: the steps at a bit of inside, those at a bit
-    outside, and all of them in bit order.  Filled on first lookup and
-    shared by the tuple closures of one call."""
+    pairs, in two lists: the steps at a bit of inside, and all of them in
+    bit order.  Filled on first lookup and shared by the tuple closures of
+    one call."""
 
     def __init__(self, g: CoxeterGraph, inside: int):
         super().__init__()
         self.g = g
         self.inside = inside
 
-    def __missing__(self, union: int) -> tuple[list, list, list]:
-        inner, outer, every = [], [], []
+    def __missing__(self, union: int) -> tuple[list, list]:
+        inner, every = [], []
         for tbit, _, images, factor in steps(self.g, union):
             move = images, factor
             every.append(move)
-            (inner if tbit & self.inside else outer).append(move)
-        self[union] = found = inner, outer, every
+            if tbit & self.inside:
+                inner.append(move)
+        self[union] = found = inner, every
         return found
 
 
-INSIDE, OUTSIDE, EVERYWHERE = range(3)  # the lists of a ``Moves`` entry
+INSIDE, EVERYWHERE = range(2)  # the lists of a ``Moves`` entry
 
 
 def _closure(
@@ -142,11 +143,12 @@ def _closure(
     which: int,
     stop: Callable[[MaskTuple], bool] | None = None,
 ) -> Parents:
-    """The closure of a tuple of part masks under the moves of list which,
-    as parent pointers, up to the first tuple for which stop holds.  Every
-    part takes its image under the twisted component (parts outside it
-    stay); the move back, through the same component as the one that found
-    the tuple, is left out."""
+    """The closure of a tuple of part masks under the moves of list which
+    of a ``Moves`` entry, INSIDE or EVERYWHERE, as parent pointers, up to
+    and including the first tuple for which stop holds.  Every part takes
+    its image under the twisted component (parts outside it stay); the
+    move back, through the same component as the one that found the
+    tuple, is left out."""
 
     def successors(T: MaskTuple, back: TwistFactor | None) -> list[tuple[MaskTuple, TwistFactor]]:
         return [
@@ -156,32 +158,6 @@ def _closure(
         ]
 
     return bfs_closure([start], successors, stop)
-
-
-def _beyond(
-    moves: Moves, internal: Parents, stop: Callable[[MaskTuple], bool] | None = None
-) -> Parents:
-    """The states of the closure under all moves that internal, the closure
-    of one start under the moves inside, misses, up to the first one for
-    which stop holds.  A move inside keeps a state in internal, so they
-    are the closure of the images of internal under the moves outside,
-    each a start with parent None, under all moves that do not lead back
-    into internal."""
-    starts = [
-        Z
-        for T in internal
-        for images, _ in moves[sum(T)][OUTSIDE]
-        if (Z := tuple(map(images.__getitem__, T))) not in internal
-    ]
-
-    def successors(T: MaskTuple, back: TwistFactor | None) -> list[tuple[MaskTuple, TwistFactor]]:
-        return [
-            (Z, factor)
-            for images, factor in moves[sum(T)][EVERYWHERE]
-            if factor is not back and (Z := tuple(map(images.__getitem__, T))) not in internal
-        ]
-
-    return bfs_closure(starts, successors, stop)
 
 
 def tuple_orbit(
@@ -335,10 +311,9 @@ def _decide(g: CoxeterGraph, inside: int) -> Witness | None:
                             witness := _find_d_obstruction(g, inside, T, tc)):
                         return witness
 
-    outside = ((1 << len(g.generators)) - 1) & ~inside
-
-    def within(T: MaskTuple) -> bool:
-        return not sum(T) & outside
+    def found(T: MaskTuple) -> bool:
+        """T lies outside the internal closure of the current X1 and inside X."""
+        return T not in internal and not sum(T) & ~inside
 
     moves = Moves(g, inside)
     # twists keep part keys, so I holds only candidates: each subset of X with X1's keys, in
@@ -350,17 +325,17 @@ def _decide(g: CoxeterGraph, inside: int) -> Witness | None:
         for (X1, start), key in zip(level, keys):
             internal = _closure(moves, start, INSIDE)
             candidates = counts[key] * prod(factorial(m) for _, m in key)
-            beyond = len(internal) < candidates and _beyond(moves, internal, within)
-            if not (beyond and within(next(reversed(beyond)))):
-                continue
-            external = _closure(moves, start, EVERYWHERE, lambda T: T not in internal and within(T))
-            T = next(reversed(external))
-            return Witness(
-                "permutation",
-                subset=g.names(X1),
-                tuple=tuple(g.names(P) for P in T),
-                word=word_to(external, T),
-            )
+            if len(internal) < candidates:
+                # the closure under all twists, stopped at its first tuple found
+                external = _closure(moves, start, EVERYWHERE, found)
+                T = next(reversed(external))
+                if found(T):
+                    return Witness(
+                        "permutation",
+                        subset=g.names(X1),
+                        tuple=tuple(g.names(P) for P in T),
+                        word=word_to(external, T),
+                    )
     return None
 
 

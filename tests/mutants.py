@@ -194,8 +194,16 @@ MUTANTS = [
     (
         "the guard never passes a subset",
         "src/artinstab/stability.py",
-        "beyond = len(internal) < candidates and",
-        "beyond = len(internal) <= candidates and",
+        "if len(internal) < candidates:",
+        "if len(internal) <= candidates:",
+        "killed",
+    ),
+    (
+        "the search's last tuple not tested to lie inside X: a search that"
+        " found nothing reported as a witness",
+        "src/artinstab/stability.py",
+        "if found(T):",
+        "if T not in internal:",
         "killed",
     ),
     (

@@ -1,16 +1,18 @@
-"""The guard of the permutation phase: ``decide_stability`` skips the growth
-beyond the internal closure I of a subset X1 when I holds every candidate,
-every tuple of pairwise disjoint, non-adjacent connected subsets of X with
-the part keys of X1's tuple, position by position.
+"""The guard of the permutation phase: ``decide_stability`` skips the search
+under all twists of a subset X1 when its internal closure I, under the
+twists inside X, holds every candidate, every tuple of pairwise disjoint,
+non-adjacent connected subsets of X with the part keys of X1's tuple,
+position by position.
 
 Twists carry a tuple onto one with the same part keys, so I holds only
 candidates, and when it holds them all, the closure under all twists adds
 no tuple inside X.  The decision counts the candidates from the part keys
 of the subsets of X of X1's size.  Checked on every subset X1 of every
 subset X of small catalog, random and product graphs, against a plain list
-of the candidates, built part by part, and a full ``_beyond``.  When X meets
-several of the graph's direct and free factors, the walks over its parts
-run before the walk over X, and stop at the first part that fails."""
+of the candidates, built part by part, and the closure under all twists,
+run to the end.  When X meets several of the graph's direct and free
+factors, the walks over its parts run before the walk over X, and stop
+at the first part that fails."""
 
 import random
 from itertools import combinations
@@ -18,7 +20,7 @@ from itertools import combinations
 from artinstab import INFINITY, CoxeterGraph, decide_stability, standard_graph
 from artinstab import stability
 from artinstab.orbit import _part_key
-from artinstab.stability import INSIDE, Moves, _beyond, _closure, _decide
+from artinstab.stability import EVERYWHERE, INSIDE, Moves, _closure, _decide
 
 from conftest import SHAPES, random_graph
 
@@ -79,8 +81,8 @@ def plain_components(g, M: int, joined) -> list[int]:
 
 def check_guard(g, searched) -> tuple[int, int]:
     """(subsets X1 checked, subsets the guard lets pass) over every X;
-    searched is filled with the mask of each X1 whose internal closure
-    ``decide_stability`` hands to ``_beyond``.  The walk over X searches
+    searched is filled with the mask of each X1 whose closure under all
+    twists ``decide_stability`` searches.  The walk over X searches
     the subsets the guard does not pass, up to the first failing one; when
     X meets several of the graph's factors, the walk over each part runs
     first, up to the first part that fails, and then the walk over X."""
@@ -92,14 +94,15 @@ def check_guard(g, searched) -> tuple[int, int]:
             bits = [1 << g.index[v] for v in X]
             connected = [U for U in walk(bits) if len(g.components(U)) == 1]
             moves = Moves(g, inside)
-            expected = []  # the subsets the walk must search beyond, in walk order
+            expected = []  # the subsets the walk must search, in walk order
             failing = []  # the subsets the plain check fails, in walk order
             for X1 in walk(bits):
                 start = g.components(X1)
                 internal = _closure(moves, start, INSIDE)
                 found = candidates(g, connected, start)
                 assert internal.keys() <= set(found), (g, X, g.names(X1))
-                grown = [T for T in _beyond(moves, internal) if not sum(T) & ~inside]
+                external = _closure(moves, start, EVERYWHERE)
+                grown = [T for T in external if T not in internal and not sum(T) & ~inside]
                 checked += 1
                 if grown:
                     failing.append(X1)
@@ -135,21 +138,23 @@ def check_guard(g, searched) -> tuple[int, int]:
     return checked, passed
 
 
-def spy_on_beyond(monkeypatch) -> list[int]:
-    """The union masks of the starts of the internal closures that
-    ``decide_stability`` hands to ``_beyond``, in call order."""
+def spy_on_searches(monkeypatch) -> list[int]:
+    """The union masks of the starts of the searches under all twists, the
+    tuple closures with a stop, that ``decide_stability`` runs, in call
+    order."""
     searched = []
 
-    def spy(moves, internal, stop=None):
-        searched.append(sum(next(iter(internal))))
-        return _beyond(moves, internal, stop)
+    def spy(moves, start, which, stop=None):
+        if stop is not None:
+            searched.append(sum(start))
+        return _closure(moves, start, which, stop)
 
-    monkeypatch.setattr(stability, "_beyond", spy)
+    monkeypatch.setattr(stability, "_closure", spy)
     return searched
 
 
 def test_the_guard_passes_only_subsets_with_nothing_to_find(monkeypatch):
-    searched = spy_on_beyond(monkeypatch)
+    searched = spy_on_searches(monkeypatch)
     rng = random.Random(0x6A4D)
     graphs = [standard_graph(*shape) for shape in SHAPES]
     graphs += [random_graph(rng, max_vertices=6, min_vertices=3) for _ in range(60)]
@@ -168,9 +173,9 @@ def test_the_guard_passes_only_subsets_with_nothing_to_find(monkeypatch):
 
 def test_a_small_x_in_a_large_graph_searches_nothing_beyond_i(monkeypatch):
     # X of rank 6 to 8 in a graph of rank 40: each subset's I holds all its
-    # candidates, so no subset searches the tuples outside X, which for
+    # candidates, so no subset searches under all twists, whose tuples for
     # {s1, s3, s5, s7} in A40 alone are about 1.6 million
-    searched = spy_on_beyond(monkeypatch)
+    searched = spy_on_searches(monkeypatch)
     for family, first, last in (("A", 1, 7), ("A", 10, 17), ("D", 10, 15), ("B", 20, 26)):
         X = [f"s{i}" for i in range(first, last + 1)]
         assert decide_stability(standard_graph(family, 40), X) is None, (family, X)
@@ -192,9 +197,9 @@ def test_a_decision_adds_no_attribute_to_the_graph():
 def test_the_odd_singletons_of_a_2k_fail_at_x_itself(monkeypatch):
     # X, the k odd singletons of A_2k, is the first subset of the walk; it
     # has k! candidates, the orders of its parts, and its I is X's tuple
-    # alone, so the search beyond I runs once; the twist at s10 swaps s9
-    # and s11 for the witness
-    searched = spy_on_beyond(monkeypatch)
+    # alone, so the search under all twists runs once; the twist at s10
+    # swaps s9 and s11 for the witness
+    searched = spy_on_searches(monkeypatch)
     for k in (10, 12):
         searched.clear()
         X = sorted(f"s{i}" for i in range(1, 2 * k, 2))

@@ -4,6 +4,10 @@ A direct or free product is decided factor by factor, so it builds as many
 tuple closures (``stability._closure``) as its factors decided alone, not
 the closures of every subset of X, which multiply over the factors: A8 x A8
 with |X| = 14 would build 16,383 of them, 2^14 - 1.
+
+The permutation phase searches under all twists (a tuple closure with a
+stop) only for the subsets X1 whose internal closure misses a candidate,
+and stops at the first subset whose search finds a tuple inside X.
 """
 
 from __future__ import annotations
@@ -51,3 +55,33 @@ def test_a_product_builds_the_closures_of_its_factors_decided_alone(monkeypatch)
         assert len(X) == 14 and closures(monkeypatch, g, X) == 2 * a8, cross
     g = product([("A", 4)] * 4, 2)
     assert closures(monkeypatch, g, g.generators) == 4 * a4
+
+
+def searches(monkeypatch, g, X) -> tuple[int, str | None]:
+    """The searches under all twists ``decide_stability(g, X)`` runs, and
+    the kind of its witness, None when X is stable."""
+    run = []
+
+    def spy(moves, start, which, stop=None):
+        run.append(stop is not None)
+        return closure(moves, start, which, stop)
+
+    closure = stability._closure
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "_closure", spy)
+        w = decide_stability(g, X)
+    return sum(run), None if w is None else w.kind
+
+
+def test_the_permutation_phase_searches_only_subsets_the_guard_does_not_pass(monkeypatch):
+    # X is every generator but one of a spherical graph
+    for shape, left_out, pin in [
+        (("A", 8), "s8", (0, None)),
+        (("B", 7), "s7", (35, None)),
+        (("D", 8), "s8", (69, None)),
+        (("F", 4), "s1", (4, None)),
+        (("H", 4), "s4", (1, "permutation")),
+    ]:
+        g = standard_graph(*shape)
+        X = [v for v in g.generators if v != left_out]
+        assert searches(monkeypatch, g, X) == pin, shape
