@@ -6,21 +6,22 @@ a word of Garside factors witnessing the conjugation.  ``orbit`` and
 ``conjugator`` search over subsets written as int masks of the graph's
 generator order and convert to name tuples only for their results; their
 twist steps come from ``twist.steps``, which keeps them with the graph
-once computed, and a successor is the subset XOR a step's move.  The same
-search engine, ``bfs_closure``, also runs the component-tuple closures of
-the stability decision.  The search keeps parent pointers; words are
-built only for reported states, each from its parent's word by one O(1)
-extension.
+once computed, and a successor is the subset XOR a step's move.  One
+search engine, ``bfs_closure``, walks the step list of each state for
+these and for the component-tuple closures of the stability decision.
+The search keeps parent pointers; words are built only for reported
+states, each from its parent's word by one O(1) extension.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .classify import IrreducibleType
 from .graph import CoxeterGraph, VertexSet
-from .twist import ConjugatorWord, TwistFactor, steps
+from .twist import ConjugatorWord, Images, MaskStep, TwistFactor, steps
 
 
 class OrbitTable:
@@ -73,18 +74,22 @@ Parents = dict[State, tuple[State, TwistFactor] | None]
 
 def bfs_closure(
     starts: Iterable[State],
-    successors: Callable[[State, TwistFactor | None], Iterable[tuple[State, TwistFactor]]],
+    steps_of: Callable[[State], Iterable[MaskStep]],
+    apply: Callable[[State, int, Images], State],
     stop: Callable[[State], bool] | None = None,
 ) -> Parents:
-    """Breadth-first closure of the start states under successors, which
-    yields (next state, factor) pairs, as parent pointers; every start has
-    parent None and comes first, in the given order.  Successors also get
-    the factor of the move that discovered the state, None for a start: a
-    twist is an involution, so the move with that same factor leads back
-    to the discoverer and may be left out.  The search stops at the first
-    state, a start or not, for which stop holds: the last one in the
-    result.  Words are built from the pointers only for the states a
-    caller reports, by ``word_to`` or ``words``."""
+    """Breadth-first closure of the start states under twist steps, as
+    parent pointers; every start has parent None and comes first, in the
+    given order.  ``steps_of(state)`` lists the state's steps (see
+    ``twist.MaskStep``), in the order the search tries them, and
+    ``apply(state, move, images)`` is the state a step leads to.  A twist
+    is an involution, so the step whose factor is the one that
+    discovered the state leads back to its discoverer and is skipped; a
+    step that leads to a recorded state, as a move of 0 on a subset does,
+    adds nothing.  The search stops at the first state, a start or not,
+    for which stop holds: the last one in the result.  Words are built
+    from the pointers only for the states a caller reports, by
+    ``word_to`` or ``words``."""
     parents: Parents = {}
     for Z in starts:
         parents[Z] = None
@@ -94,7 +99,11 @@ def bfs_closure(
     while queue:
         Y = queue.popleft()
         step = parents[Y]
-        for Z, factor in successors(Y, None if step is None else step[1]):
+        back = None if step is None else step[1]
+        for _, move, images, factor in steps_of(Y):
+            if factor is back:
+                continue
+            Z = apply(Y, move, images)
             if Z in parents:
                 continue
             parents[Z] = Y, factor
@@ -123,29 +132,15 @@ def words(parents: Parents) -> dict[State, ConjugatorWord]:
     return out
 
 
-def _mask_twists(
-    g: CoxeterGraph,
-) -> Callable[[int, TwistFactor | None], list[tuple[int, TwistFactor]]]:
-    """The elementary twist successors of subset masks: the component C of
-    Y + t containing t is replaced by C minus the image of t, so t enters
-    and its image leaves, Y ^ move.  A move of 0 (the image of t is t)
-    leads back to Y, and the step whose factor is back, the twist of the
-    same C, to where Y was found from: both are left out."""
-
-    def successors(Y: int, back: TwistFactor | None) -> list[tuple[int, TwistFactor]]:
-        return [
-            (Y ^ move, factor)
-            for _, move, _, factor in steps(g, Y)
-            if move and factor is not back
-        ]
-
-    return successors
+def _xor(Y: int, move: int, images: Images) -> int:
+    """The subset mask a step leads to: t enters and its image leaves."""
+    return Y ^ move
 
 
 def orbit(g: CoxeterGraph, X: Iterable[str]) -> OrbitTable:
     """The full twist closure of X, in canonical BFS order."""
-    found = words(bfs_closure([g.mask(g.subset(X))], _mask_twists(g)))
-    return OrbitTable(tuple((g.names(Y), word) for Y, word in found.items()))
+    found = words(bfs_closure([g.mask(g.subset(X))], partial(steps, g), _xor))
+    return OrbitTable(tuple(zip(map(g.names, found), found.values())))
 
 
 def _part_key(g: CoxeterGraph, c: int) -> IrreducibleType | int:
@@ -183,5 +178,5 @@ def conjugator(
     start, target = g.mask(Xs), g.mask(Xps)
     if _twist_key(g, start) != _twist_key(g, target):
         return None
-    parents = bfs_closure([start], _mask_twists(g), target.__eq__)
+    parents = bfs_closure([start], partial(steps, g), _xor, target.__eq__)
     return word_to(parents, target) if target in parents else None

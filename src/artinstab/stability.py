@@ -33,7 +33,7 @@ from .classify import (
 )
 from .graph import CoxeterGraph, VertexSet, _bits, components
 from .orbit import Parents, _part_key, bfs_closure, word_to, words
-from .twist import ConjugatorWord, TwistFactor, step_at, steps
+from .twist import ConjugatorWord, Images, MaskStep, TwistFactor, step_at, steps
 
 ComponentTuple = tuple[VertexSet, ...]
 
@@ -113,28 +113,29 @@ MaskTuple = tuple[int, ...]
 
 
 class Moves(dict):
-    """Union masks -> the twist steps of the union as (images, factor)
-    pairs, in two lists: the steps at a bit of inside, and all of them in
-    bit order.  Filled on first lookup and shared by the tuple closures of
-    one call."""
+    """Union masks -> the twist steps of the union (see ``twist.steps``) in
+    two lists: the steps at a bit of inside, and all of them, the list
+    ``steps`` returns, in bit order.  Filled on first lookup and shared by
+    the tuple closures of one call."""
 
     def __init__(self, g: CoxeterGraph, inside: int):
         super().__init__()
         self.g = g
         self.inside = inside
 
-    def __missing__(self, union: int) -> tuple[list, list]:
-        inner, every = [], []
-        for tbit, _, images, factor in steps(self.g, union):
-            move = images, factor
-            every.append(move)
-            if tbit & self.inside:
-                inner.append(move)
-        self[union] = found = inner, every
+    def __missing__(self, union: int) -> tuple[list[MaskStep], list[MaskStep]]:
+        every, inside = steps(self.g, union), self.inside
+        self[union] = found = [step for step in every if step[0] & inside], every
         return found
 
 
 INSIDE, EVERYWHERE = range(2)  # the lists of a ``Moves`` entry
+
+
+def _images(T: MaskTuple, move: int, images: Images) -> MaskTuple:
+    """The tuple a step leads to: every part takes its image under the
+    twisted component, and parts outside it stay."""
+    return tuple(map(images.__getitem__, T))
 
 
 def _closure(
@@ -143,21 +144,11 @@ def _closure(
     which: int,
     stop: Callable[[MaskTuple], bool] | None = None,
 ) -> Parents:
-    """The closure of a tuple of part masks under the moves of list which
-    of a ``Moves`` entry, INSIDE or EVERYWHERE, as parent pointers, up to
-    and including the first tuple for which stop holds.  Every part takes
-    its image under the twisted component (parts outside it stay); the
-    move back, through the same component as the one that found the
-    tuple, is left out."""
-
-    def successors(T: MaskTuple, back: TwistFactor | None) -> list[tuple[MaskTuple, TwistFactor]]:
-        return [
-            (tuple(map(images.__getitem__, T)), factor)
-            for images, factor in moves[sum(T)][which]  # the parts are disjoint
-            if factor is not back
-        ]
-
-    return bfs_closure([start], successors, stop)
+    """The closure of a tuple of part masks under the steps of list which
+    of its union's ``Moves`` entry, INSIDE or EVERYWHERE, as parent
+    pointers, up to and including the first tuple for which stop holds."""
+    # the parts are disjoint, so their sum is their union
+    return bfs_closure([start], lambda T: moves[sum(T)][which], _images, stop)
 
 
 def tuple_orbit(

@@ -199,7 +199,9 @@ def step_at(g: CoxeterGraph, Y: int, t: str) -> MaskStep | None:
 def _alone(g: CoxeterGraph, C: int) -> tuple[int, list[MaskStep]]:
     """(the border of the component mask C, the steps at each border bit
     t when t is adjacent to C alone, so that C + t is the component of
-    t), kept with the graph in ``g.borders``."""
+    t), kept with the graph in ``g.borders``.  The border keeps the bits
+    joined to C by infinite labels: ``steps`` needs them to see that t
+    joins two components."""
     border = 0
     for i in _bits(C):
         border |= g.nbrs[i]
@@ -219,10 +221,19 @@ def steps(g: CoxeterGraph, Y: int) -> list[MaskStep]:
     ``adjacent``.  C is t plus the components of Y adjacent to t: the
     steps at a t adjacent to one component alone come from that
     component's list, and only the others are flooded and recognized
-    here.  The list may be shared: do not modify it."""
-    borders, flood, parts, rest = g.borders, g.flood, [], Y
-    while rest:  # one flood per component of Y
-        C = flood(rest & -rest, rest)
+    here, except a t with an infinite label to Y, whose C is never
+    twistable.  The list may be shared: do not modify it."""
+    borders, nbrs, parts, rest = g.borders, g.nbrs, [], Y
+    while rest:  # a component C of Y, flooded inline: steps runs once per search state
+        C = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~C
+            C |= frontier
         rest ^= C
         parts.append(borders.get(C) or _alone(g, C))
     if len(parts) == 1:
@@ -235,7 +246,9 @@ def steps(g: CoxeterGraph, Y: int) -> list[MaskStep]:
     while multi:
         tbit = multi & -multi
         multi ^= tbit
-        step = _step(g, tbit, flood(tbit, Y | tbit))
+        if g.inf[tbit.bit_length() - 1] & Y:
+            continue
+        step = _step(g, tbit, g.flood(tbit, Y | tbit))
         if step is not None:
             out.append(step)
     out.sort()  # by bit of t: the bits in a list are distinct

@@ -237,12 +237,27 @@ MUTANTS = [
         " the counts of one size are the counts of all; only the cost changes",
     ),
     (
-        "move back not skipped in the orbit search",
+        "a step leads to the subset joined with its move, not XORed",
         "src/artinstab/orbit.py",
-        "if move and factor is not back",
-        "if move",
+        "return Y ^ move",
+        "return Y | move",
+        "killed",
+    ),
+    (
+        "a vertex with an infinite label to the subset flooded for its step",
+        "src/artinstab/twist.py",
+        "        if g.inf[tbit.bit_length() - 1] & Y:\n            continue\n",
+        "",
+        "killed",
+    ),
+    (
+        "move back not skipped in the search engine",
+        "src/artinstab/orbit.py",
+        "if factor is back:",
+        "if False:",
         "equivalent: the move back leads to the state that discovered this"
-        " one, which the search has already recorded, so only the cost changes",
+        " one, which the search has already recorded, so only the cost changes;"
+        " this holds in every search, the tuple closures included",
     ),
 ]
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from functools import partial
 
 import pytest
 
@@ -27,7 +28,7 @@ from artinstab import (
     standard_graph,
     tuple_twist,
 )
-from artinstab.orbit import _mask_twists
+from artinstab.orbit import _xor, bfs_closure
 from artinstab.twist import step_at, steps
 
 from conftest import build_graph, delta_map
@@ -184,8 +185,9 @@ def test_twist_involution():
 
 
 # Fixed points: when the twist at t fixes t, Y + t - t is Y itself, so the
-# move is 0 and the orbit search skips it; the parts of a component tuple
-# still change places.  (graph, X, t, the twisted tuple.)
+# move is 0 and leads the orbit search back to Y, which it has recorded;
+# the parts of a component tuple still change places.  (graph, X, t, the
+# twisted tuple.)
 FIXED_POINT_CASES = [
     (("A", 5), ("s1", "s2", "s4", "s5"), "s3", (("s4", "s5"), ("s1", "s2"))),
     (("D", 5), ("s1", "s2", "s4", "s5"), "s3", (("s2",), ("s1",), ("s4", "s5"))),
@@ -201,7 +203,6 @@ def test_a_twist_fixing_t_is_a_zero_move_that_swaps_parts(shape, X, t, swapped):
     tbit, move, _, step_factor = step_at(g, Y, t)
     assert (tbit, move, step_factor) == (g.mask([t]), 0, factor)
     assert elementary_twist(g, X, t) == (X, factor)
-    assert _mask_twists(g)(Y, None) == []  # t is the only neighbour of X
     assert [Y for Y, _ in orbit(g, X)] == [X]
     assert tuple_twist(g, tuple(components(g, X)), t) == (swapped, factor)
     assert decide_stability(g, X) == Witness(
@@ -216,10 +217,10 @@ def test_a_zero_move_is_skipped_beside_the_others():
     Y = a7.mask(("s1", "s2", "s4", "s5"))
     moves = {a7.names(tbit): move for tbit, move, _, _ in steps(a7, Y)}
     assert moves == {("s3",): 0, ("s6",): a7.mask(("s4", "s6"))}
-    successors = _mask_twists(a7)(Y, None)
-    assert [(a7.names(Z), f.subset) for Z, f in successors] == [
-        (("s1", "s2", "s5", "s6"), ("s4", "s5", "s6"))
-    ]
+    parents = bfs_closure([Y], partial(steps, a7), _xor)
+    (first, root), (second, (parent, factor)) = list(parents.items())[:2]
+    assert (first, root, a7.names(second)) == (Y, None, ("s1", "s2", "s5", "s6"))
+    assert (parent, factor.subset) == (Y, ("s4", "s5", "s6"))
 
 
 # ---------------------------------------------------------------- words

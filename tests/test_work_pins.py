@@ -5,6 +5,10 @@ tuple closures (``stability._closure``) as its factors decided alone, not
 the closures of every subset of X, which multiply over the factors: A8 x A8
 with |X| = 14 would build 16,383 of them, 2^14 - 1.
 
+A vertex with an infinite label to a union can never twist it, so the
+twist steps (``twist.steps``) do not flood from it, and a free product
+floods about as often as a direct product.
+
 The permutation phase searches under all twists (a tuple closure with a
 stop) only for the subsets X1 whose internal closure misses a candidate,
 and stops at the first subset whose search finds a tuple inside X.
@@ -85,3 +89,39 @@ def test_the_permutation_phase_searches_only_subsets_the_guard_does_not_pass(mon
         g = standard_graph(*shape)
         X = [v for v in g.generators if v != left_out]
         assert searches(monkeypatch, g, X) == pin, shape
+
+
+def floods(monkeypatch, g, X) -> int:
+    """The ``CoxeterGraph.flood`` calls ``decide_stability(g, X)`` makes;
+    X is stable."""
+    calls = []
+
+    def spy(self, *args):
+        calls.append(1)
+        return flood(self, *args)
+
+    flood = CoxeterGraph.flood
+    with monkeypatch.context() as patch:
+        patch.setattr(CoxeterGraph, "flood", spy)
+        assert decide_stability(g, X) is None, (g, X)
+    return len(calls)
+
+
+def test_a_free_product_floods_about_as_often_as_a_direct_product(monkeypatch):
+    """A8 x A8 and A8 * A8, X every generator but the last of each A8.
+
+    A vertex of one factor is joined to the other factor by a label 2 in
+    the direct product and by infinite labels in the free one.  In the
+    free product it is adjacent to every component of each union the
+    other factor's walk meets, so it lies on the border of two or more;
+    ``twist.steps`` skips it there without a flood, as it has an infinite
+    label to the union.  So both decisions flood for their own factors'
+    steps and subsets alone, and differ only by the three more floods
+    that split the free product into its factors (7 against 4): 676 and
+    679.  Without the skip, and with the components of each union flooded
+    through ``flood`` as well, they were 1,188 and 2,775."""
+    pins = {}
+    for cross in (2, INFINITY):
+        g = product([("A", 8)] * 2, cross)
+        pins[cross] = floods(monkeypatch, g, [v for v in g.generators if v[1:] != "s8"])
+    assert pins == {2: 676, INFINITY: 679}
